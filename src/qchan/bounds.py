@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, ValidationError
 from .entropy import map_entropy, output_entropy, receiver_entropy, renyi, spectrum_probabilities
 from .matcore import reorder, singular_values
 from .zoo import random_density, random_pure_state, rng_stream
@@ -362,7 +362,7 @@ def receiver_upper_value(lam: float, n_dim: int, q) -> float:
     if math.isnan(q) or q < 0.0:
         raise ValueError(f"Rényi order must be >= 0, got {q}")
     if lam < 1.0 - 1e-9:
-        raise RuntimeError(
+        raise ValidationError(
             f"trace norm {lam:.12g} below 1; not a trace-preserving channel's superoperator"
         )
     lam = max(float(lam), 1.0)

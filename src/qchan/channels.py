@@ -336,8 +336,8 @@ def from_environment(u, dim: int, env_dim: int, *, label=None, meta=None) -> Cha
     """Channel from a unitary on system x environment with the environment
     prepared in the first basis state and traced out afterwards.
 
-    ``u`` must be an ``N*d x N*d`` unitary; the Kraus operators are the
-    blocks ``(A_i)[a, a'] = u[a*d + i, a'*d]`` for ``i = 0 .. d-1``.
+    ``u`` must be an ``N*d x N*d`` unitary; only its columns ``a' * d`` act
+    on that state, and :func:`from_isometry` builds the channel from them.
     """
     u = as_complex_matrix(u)
     if u.shape != (dim * env_dim, dim * env_dim):
@@ -349,8 +349,26 @@ def from_environment(u, dim: int, env_dim: int, *, label=None, meta=None) -> Cha
         raise ValidationError(
             f"matrix is not unitary: |U^dag U - 1|_2 = {dev:.3e} (tolerance {UNITARY_TOL:.1e})"
         )
-    blocks = u.reshape(dim, env_dim, dim, env_dim)
-    ops = np.transpose(blocks[:, :, :, 0], (1, 0, 2))
+    return from_isometry(u[:, ::env_dim], dim, env_dim, label=label, meta=meta)
+
+
+def from_isometry(v, dim: int, env_dim: int, *, label=None, meta=None) -> Channel:
+    """Channel from a Stinespring isometry ``V`` from the system into
+    system x environment, with the environment traced out afterwards.
+
+    ``v`` must be an ``N*d x N`` isometry (``V^dag V = 1_N``); the Kraus
+    operators are the blocks ``(A_i)[a, a'] = v[a*d + i, a']`` for
+    ``i = 0 .. d-1``.
+    """
+    v = as_complex_matrix(v)
+    if v.shape != (dim * env_dim, dim):
+        raise ValueError(f"expected a {dim * env_dim}x{dim} isometry, got {v.shape}")
+    dev = np.linalg.norm(v.conj().T @ v - np.eye(dim))
+    if dev > UNITARY_TOL:
+        raise ValidationError(
+            f"matrix is not an isometry: |V^dag V - 1|_2 = {dev:.3e} (tolerance {UNITARY_TOL:.1e})"
+        )
+    ops = np.transpose(v.reshape(dim, env_dim, dim), (1, 0, 2))
     return from_kraus(ops, label=label, meta=meta)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .matcore import SPECTRUM_ZERO_RTOL, hermitian_eigenvalues
 from .channels import Channel, ValidationError, _check_kraus, check_state
+from .zoo import PAULI
 
 # |q - 1| below this window routes to the Shannon limit of the Rényi formula.
 Q_ONE_WINDOW = 1e-6
@@ -142,14 +143,6 @@ def output_entropy(ch: Channel, q) -> float:
     return renyi(probs, q)
 
 
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 def bloch_ellipsoid(ch: Channel) -> tuple[float, float, float]:
     """Semiaxes of the Bloch-ball image of a unital qubit channel, ascending.
 
@@ -166,9 +159,9 @@ def bloch_ellipsoid(ch: Channel) -> tuple[float, float, float]:
         raise ValueError("Bloch ellipsoid requires a unital channel")
     t = np.empty((3, 3), dtype=complex)
     for j in range(3):
-        image = (ch.superop @ _PAULI[j + 1].reshape(-1)).reshape(2, 2)
+        image = (ch.superop @ PAULI[j + 1].reshape(-1)).reshape(2, 2)
         for i in range(3):
-            t[i, j] = 0.5 * np.trace(_PAULI[i + 1] @ image)
+            t[i, j] = 0.5 * np.trace(PAULI[i + 1] @ image)
     if np.abs(t.imag).max() > 1e-9:
         raise ValidationError(
             f"Pauli transfer block has imaginary part {np.abs(t.imag).max():.3e}"

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .channels import Channel, check_state, from_environment, from_kraus, from_superoperator
+from .channels import Channel, check_state, from_isometry, from_kraus
 from .matcore import as_complex_matrix
 
 PAULI = (
@@ -196,12 +196,24 @@ def reshuffle_invariant(eta, u=None) -> Channel:
 # random ensembles
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed ``n x n`` unitary via phase-fixed QR of a Ginibre matrix."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed ``rows x cols`` isometry via phase-fixed reduced QR
+    of a Ginibre block (Mezzadri, math-ph/0609050).
+
+    Its columns are distributed like any ``cols`` columns of a Haar unitary,
+    at the cost of a ``rows x cols`` QR instead of a ``rows x rows`` one.
+    """
+    if not 1 <= cols <= rows:
+        raise ValueError(f"need 1 <= cols <= rows for an isometry, got {rows}x{cols}")
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed ``n x n`` unitary, the square case of :func:`haar_isometry`."""
+    return haar_isometry(n, n, rng)
 
 
 def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -219,10 +231,16 @@ def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_cptp(dim: int, env_dim: int, rng: np.random.Generator, *, label=None) -> Channel:
-    """Random channel from a Haar unitary on system x environment."""
-    u = haar_unitary(dim * env_dim, rng)
-    return from_environment(
-        u, dim, env_dim, label=label or f"random_cptp(N={dim},d={env_dim})"
+    """Random channel from a Haar Stinespring isometry into system x environment.
+
+    The channel only sees the ``N`` columns of a system x environment
+    unitary that act on the environment's first basis state, so drawing that
+    ``N*d x N`` isometry directly gives the same channel measure as
+    :func:`from_environment` on a Haar unitary (Bruzda et al., arXiv:0804.2361).
+    """
+    v = haar_isometry(dim * env_dim, dim, rng)
+    return from_isometry(
+        v, dim, env_dim, label=label or f"random_cptp(N={dim},d={env_dim})"
     )
 
 

@@ -25,7 +25,7 @@ from qchan.bounds import (
     sigma1_variational,
     spectral_entropy_bounds,
 )
-from qchan.channels import from_superoperator
+from qchan.channels import ValidationError, from_superoperator
 from qchan.entropy import map_entropy, output_entropy, receiver_entropy, renyi
 from qchan.matcore import reshuffle_permutation
 from qchan.zoo import (
@@ -242,10 +242,19 @@ def test_receiver_upper_value_limits():
     assert abs(receiver_upper_value(3.0, 2, math.inf) - math.log(3.0)) < 1e-15
     assert receiver_upper_value(1.0, 2, 2.0) == 0.0
     assert receiver_upper_value(1.0 - 1e-12, 2, 1.0) == 0.0
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValidationError):
         receiver_upper_value(0.5, 2, 2.0)
     with pytest.raises(ValueError):
         receiver_upper_value(2.0, 2, -0.5)
+
+
+def test_receiver_upper_value_rejects_trace_norm_below_one():
+    # a trace-preserving superoperator has sigma1 >= 1, so a trace norm below
+    # 1 is an invalid input: a ValidationError, which the CLI reports as exit 2
+    for q in (1.0, 2.0, math.inf):
+        with pytest.raises(ValidationError, match="trace norm"):
+            receiver_upper_value(1.0 - 1e-6, 3, q)
+    assert receiver_upper_value(1.0 - 1e-10, 3, 2.0) == 0.0
 
 
 def test_receiver_upper_random_sweep():

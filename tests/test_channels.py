@@ -7,11 +7,12 @@ from qchan.channels import (
     choi_to_kraus,
     from_choi,
     from_environment,
+    from_isometry,
     from_kraus,
     from_superoperator,
     remix_kraus,
 )
-from qchan.zoo import haar_unitary, random_cptp, random_density, rng_substream
+from qchan.zoo import haar_isometry, haar_unitary, random_cptp, random_density, rng_substream
 
 # identity channel on one qubit: superoperator is 1_4, Choi is the
 # (unnormalized) maximally entangled projector
@@ -97,6 +98,30 @@ def test_from_environment_always_cptp():
 def test_from_environment_needs_unitary():
     with pytest.raises(ValidationError):
         from_environment(np.ones((4, 4), dtype=complex), 2, 2)
+
+
+def test_from_environment_delegates_to_its_isometry_columns():
+    for dim, env in ((2, 1), (2, 3), (3, 4)):
+        u = haar_unitary(dim * env, rng_substream(40, dim * 10 + env))
+        full = from_environment(u, dim, env).superop
+        assert np.array_equal(full, from_isometry(u[:, ::env], dim, env).superop)
+
+
+def test_from_isometry_rejects_planted_violations():
+    v = haar_isometry(8, 2, rng_substream(41, 0))
+    assert from_isometry(v, 2, 4).tp
+    # a 1e-6 rescaling is far outside the 1e-10 isometry tolerance
+    with pytest.raises(ValidationError, match="not an isometry"):
+        from_isometry(v * (1.0 + 1e-6), 2, 4)
+    # normalized but overlapping columns
+    skew = v.copy()
+    skew[:, 1] = (v[:, 0] + v[:, 1]) / np.sqrt(2.0)
+    with pytest.raises(ValidationError, match="not an isometry"):
+        from_isometry(skew, 2, 4)
+    for shape_error in (v[:6], v.T, np.ones((8, 3), dtype=complex)):
+        with pytest.raises(ValueError) as info:
+            from_isometry(shape_error, 2, 4)
+        assert not isinstance(info.value, ValidationError)
 
 
 def test_environment_dim_one_gives_unitary_conjugation():

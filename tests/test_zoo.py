@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from qchan.channels import ValidationError
+from qchan.channels import ValidationError, from_environment
 from qchan.entropy import map_entropy, receiver_entropy
 from qchan.matcore import reshuffle
 from qchan.zoo import (
@@ -12,6 +12,7 @@ from qchan.zoo import (
     complete_contraction,
     depolarizing,
     depolarizing_curve_point,
+    haar_isometry,
     haar_unitary,
     identity_channel,
     interval_channel,
@@ -235,6 +236,45 @@ def test_haar_unitary_eigenphases_are_uniform():
     )
     counts, _ = np.histogram(phases, bins=20, range=(-math.pi, math.pi))
     assert chisquare(counts).pvalue > 1e-3
+
+
+def test_haar_unitary_draws_are_unchanged_by_the_isometry_routine():
+    def seed_haar_unitary(n, rng):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    for n in (1, 2, 5, 16):
+        expected = seed_haar_unitary(n, rng_stream(56))
+        assert haar_isometry(n, n, rng_stream(56)).tobytes() == expected.tobytes()
+        assert haar_unitary(n, rng_stream(56)).tobytes() == expected.tobytes()
+    v = haar_isometry(12, 3, rng_stream(56))
+    assert v.shape == (12, 3)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(3)) < 1e-12
+    with pytest.raises(ValueError):
+        haar_isometry(3, 4, rng_stream(56))
+
+
+@pytest.mark.parametrize("dim,env", [(2, 2), (2, 4), (3, 9)])
+def test_random_cptp_isometry_matches_full_unitary_sampler(dim, env):
+    # Reference: the Haar unitary on system x environment that the isometry
+    # sampler replaces.  Both must induce the same channel measure, seen
+    # through the mean sorted Choi spectrum and the mean Choi-state purity.
+    n = 2000
+
+    def moments(sample):
+        spectra = np.array([sample(i).choi_eigenvalues for i in range(n)]) / dim
+        purity = (spectra**2).sum(axis=1)
+        return np.column_stack([spectra, purity])
+
+    ref = moments(
+        lambda i: from_environment(haar_unitary(dim * env, rng_substream(57, i)), dim, env)
+    )
+    new = moments(lambda i: random_cptp(dim, env, rng_substream(58, i)))
+    err = np.sqrt(ref.var(axis=0, ddof=1) / n + new.var(axis=0, ddof=1) / n)
+    diff = np.abs(ref.mean(axis=0) - new.mean(axis=0))
+    assert np.all(diff <= 4.0 * err + 1e-12), (diff, err)
 
 
 def test_random_density_mean_purity():
