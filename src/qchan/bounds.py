@@ -15,46 +15,43 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .channels import Channel, ValidationError
-from .entropy import map_entropy, output_entropy, receiver_entropy, renyi, spectrum_probabilities
-from .matcore import reorder, singular_values
+from .channels import Channel, ChannelStack, ValidationError
+from .entropy import Q_ONE_WINDOW, entropies, renyi, renyi_order, spectrum_probabilities
+from .matcore import first_failure, reorder, singular_values
 from .zoo import random_density, random_pure_state, rng_stream
 
 # Bound satisfaction margin: slack >= -CHECK_TOL counts as satisfied.
 CHECK_TOL = 1e-8
 
 
-def f_min(q) -> float:
-    """``min(q/(q-1), 2)`` with the limits 2 at ``q = 1`` and 1 at ``q = inf``."""
+def q_ratio(q) -> float:
+    """``q/(q-1)`` with the limits ``inf`` at ``q = 1`` and 1 at ``q = inf``."""
     q = _check_order(q)
     if math.isinf(q):
         return 1.0
     if q == 1.0:
-        return 2.0
-    return min(q / (q - 1.0), 2.0)
+        return math.inf
+    return q / (q - 1.0)
+
+
+def f_min(q) -> float:
+    """``min(q/(q-1), 2)`` with the limits 2 at ``q = 1`` and 1 at ``q = inf``."""
+    return min(q_ratio(q), 2.0)
 
 
 def f_max(q) -> float:
     """``max(q/(q-1), 2)``; diverges at ``q = 1``, where upper bounds drop out."""
-    q = _check_order(q)
-    if math.isinf(q):
-        return 2.0
-    if q == 1.0:
-        return math.inf
-    return max(q / (q - 1.0), 2.0)
+    return max(q_ratio(q), 2.0)
 
 
 def g_min(q) -> float:
     """``min(q/(2(q-1)), 2(q-1)/q)``: 0 at ``q = 1``, 1 at ``q = 2``, 1/2 at ``inf``."""
-    q = _check_order(q)
-    if math.isinf(q):
-        return 0.5
-    if q == 1.0:
-        return 0.0
-    return min(q / (2.0 * (q - 1.0)), 2.0 * (q - 1.0) / q)
+    r = q_ratio(q)
+    return min(r / 2.0, 2.0 / r)
 
 
 def _check_order(q) -> float:
@@ -77,18 +74,23 @@ class BoundRecord:
     citation: str
 
 
-def _record(rid: str, lhs: float, rhs: float, relation: str, citation: str) -> BoundRecord:
+def _slack(lhs, rhs, relation: str):
     if relation == "<=":
         slack = rhs - lhs
     elif relation == ">=":
         slack = lhs - rhs
     elif relation == "==":
-        slack = -abs(lhs - rhs)
+        slack = -np.abs(lhs - rhs)
     else:
         raise ValueError(f"unknown relation {relation!r}")
+    return slack + 0.0  # +0.0 folds -0.0 into 0.0
+
+
+def _record(rid: str, lhs, rhs, relation: str, citation: str, slack=None) -> BoundRecord:
+    slack = _slack(lhs, rhs, relation) if slack is None else slack
     return BoundRecord(
         id=rid,
-        lhs=float(lhs) + 0.0,  # +0.0 folds -0.0 into 0.0
+        lhs=float(lhs) + 0.0,
         rhs=float(rhs) + 0.0,
         relation=relation,
         slack=float(slack) + 0.0,
@@ -98,12 +100,34 @@ def _record(rid: str, lhs: float, rhs: float, relation: str, citation: str) -> B
 
 
 # ---------------------------------------------------------------------------
+# the two spectrum lemmas
+#
+# For a matrix X with trace norm Lx and largest singular value x1, and an
+# entry reordering Y of X with trace norm Ly, every Rényi order q >= 1 gives
+#   ln(Lx/x1) <= S_q(X) <= q/(q-1) ln(Lx/x1)
+#   F_min ln(Ly/sqrt(x1 Lx)) <= S_q(Y) <= F_max ln(Ly/x1).
+# The channel bounds apply them to the superoperator and its reshuffle, the
+# Choi matrix (trace norm N, largest singular value d1).
+
+
+def _spectral_lower(lam, x1, q):
+    return np.log(lam / x1)
+
+
+def _spectral_upper(lam, x1, q):
+    return q_ratio(q) * np.log(lam / x1)
+
+
+def _reordered_lower(lam_y, x1, lam_x, q):
+    return f_min(q) * np.log(lam_y / np.sqrt(x1 * lam_x))
+
+
+def _reordered_upper(lam_y, x1, q):
+    return f_max(q) * np.log(lam_y / x1)
+
+
+# ---------------------------------------------------------------------------
 # largest singular value
-
-
-def sigma1(ch: Channel) -> float:
-    """Largest singular value of the superoperator matrix."""
-    return ch.sigma1
 
 
 def sigma1_variational(ch: Channel, budget: int = 2000, seed: int = 0) -> float:
@@ -209,15 +233,17 @@ def spectral_entropy_bounds(x, q) -> list[BoundRecord]:
         raise ValueError("matrix must have at least one nonzero singular value")
     x1 = float(s[0])
     sq = renyi(spectrum_probabilities(s), q)
-    base = math.log(lam / x1)
     records = [
-        _record("spectral_entropy_lower", sq, base, ">=", "ln(L/x1) <= S_q(X)")
+        _record(
+            "spectral_entropy_lower", sq, _spectral_lower(lam, x1, q), ">=",
+            "ln(L/x1) <= S_q(X)",
+        )
     ]
-    coeff = 1.0 if math.isinf(q) else q / (q - 1.0) if q > 1.0 else math.inf
-    if math.isfinite(coeff):
+    if q > 1.0:
         records.append(
             _record(
-                "spectral_entropy_upper", sq, coeff * base, "<=", "S_q(X) <= q/(q-1) ln(L/x1)"
+                "spectral_entropy_upper", sq, _spectral_upper(lam, x1, q), "<=",
+                "S_q(X) <= q/(q-1) ln(L/x1)",
             )
         )
     return records
@@ -242,21 +268,270 @@ def reordered_entropy_bounds(x, perm, q) -> list[BoundRecord]:
     if lam_x <= 0.0:
         raise ValueError("matrix must have at least one nonzero singular value")
     sq = renyi(spectrum_probabilities(sy), q)
-    lower = f_min(q) * math.log(lam_y / math.sqrt(x1 * lam_x))
-    upper = f_max(q) * math.log(lam_y / x1)
     return [
         _record(
-            "reordered_entropy_lower", sq, lower, ">=",
+            "reordered_entropy_lower", sq, _reordered_lower(lam_y, x1, lam_x, q), ">=",
             "F_min ln(Ly/sqrt(x1 Lx)) <= S_q(Y)",
         ),
         _record(
-            "reordered_entropy_upper", sq, upper, "<=", "S_q(Y) <= F_max ln(Ly/x1)"
+            "reordered_entropy_upper", sq, _reordered_upper(lam_y, x1, q), "<=",
+            "S_q(Y) <= F_max ln(Ly/x1)",
         ),
     ]
 
 
 # ---------------------------------------------------------------------------
-# channel-level bounds
+# the channel bound table
+
+
+def receiver_upper_value(lam, n_dim: int, q):
+    """Largest ``S_q`` compatible with trace norm ``lam`` of an N^2 x N^2
+    superoperator whose largest singular value is at least 1.
+
+    The singular values majorize ``(1, (lam-1)/(N^2-1) x (N^2-1))``, whose
+    normalized Rényi entropy this function evaluates; Schur concavity turns
+    that into an upper bound.  The ``q = 1`` and ``q = inf`` limits are
+    handled in closed form.  ``lam`` may be a float (giving a float) or an
+    array (giving one value per entry).
+    """
+    q = renyi_order(q)
+    lam_in = np.asarray(lam, dtype=float)
+    i = first_failure(lam_in >= 1.0 - 1e-9)
+    if i is not None:
+        raise ValidationError(
+            f"trace norm {lam_in.flat[i]:.12g} below 1; "
+            "not a trace-preserving channel's superoperator"
+        )
+    lam = np.maximum(lam_in, 1.0)
+    rest = n_dim * n_dim - 1
+    if math.isinf(q):
+        value = np.log(lam)
+    elif abs(q - 1.0) < Q_ONE_WINDOW:
+        t = lam - 1.0
+        spread = (t / lam) * np.log(rest / np.where(t < 1e-300, 1.0, t))
+        value = np.where(t < 1e-300, 0.0, spread) + np.log(lam)
+    else:
+        inner = lam ** (-q) + (lam - 1.0) ** q / (lam**q * float(rest) ** (q - 1.0))
+        value = np.log(inner) / (1.0 - q)
+    return float(value) if lam_in.ndim == 0 else value
+
+
+def _always(q: float, interval: bool) -> bool:
+    return True
+
+
+def _above_one(q: float, interval: bool) -> bool:
+    # q/(q-1) and F_max are finite
+    return q > 1.0
+
+
+def _near_one(q: float, interval: bool) -> bool:
+    # the Shannon window of the Rényi formula
+    return abs(q - 1.0) < Q_ONE_WINDOW
+
+
+def _interval(q: float, interval: bool) -> bool:
+    return interval
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One row of the bound table: ``lhs relation rhs`` for each channel of a
+    stack at Rényi order ``q``.
+
+    ``applies(q, interval)`` says whether the row is part of the report at
+    order ``q`` for a stack of interval maps (or not); ``lhs`` and ``rhs``
+    map ``(stack, q)`` to one value per channel (or a constant).
+    ``separable`` marks the criteria that every entanglement-breaking
+    channel satisfies, which feed the region classifier rather than the
+    bound report.
+    """
+
+    id: str
+    relation: str
+    applies: Callable[[float, bool], bool]
+    lhs: Callable[[ChannelStack, float], np.ndarray]
+    rhs: Callable[[ChannelStack, float], np.ndarray]
+    citation: str
+    separable: bool = False
+
+
+def _s_map(s: ChannelStack, q) -> np.ndarray:
+    return entropies(s, "map", q)
+
+
+def _s_rec(s: ChannelStack, q) -> np.ndarray:
+    return entropies(s, "receiver", q)
+
+
+def _s_out(s: ChannelStack, q) -> np.ndarray:
+    return entropies(s, "output", q)
+
+
+def _output_rank(s: ChannelStack) -> np.ndarray:
+    # eigenvalues of Phi(1/N) above 1e-9 |Phi(1/N)|_2
+    cutoff = 1e-9 * np.maximum(np.linalg.norm(s.output_state, axis=(-2, -1)), 1e-300)
+    return np.count_nonzero(s.output_eigenvalues > cutoff[:, None], axis=-1)
+
+
+TABLE: tuple[Bound, ...] = (
+    Bound(
+        "receiver_self_lower", ">=", _always, _s_rec,
+        lambda s, q: _spectral_lower(s.lambda_phi, s.sigma1, q),
+        "ln(L/s1) <= S_q_rec",
+    ),
+    Bound(
+        "map_self_lower", ">=", _always, _s_map,
+        lambda s, q: _spectral_lower(s.dim, s.d1, q),
+        "ln(N/d1) <= S_q_map",
+    ),
+    Bound(
+        "receiver_cross_lower", ">=", _always, _s_rec,
+        lambda s, q: _reordered_lower(s.lambda_phi, s.d1, s.dim, q),
+        "F_min ln(L/sqrt(N d1)) <= S_q_rec",
+    ),
+    Bound(
+        "map_cross_lower", ">=", _always, _s_map,
+        lambda s, q: _reordered_lower(s.dim, s.sigma1, s.lambda_phi, q),
+        "F_min ln(N/sqrt(s1 L)) <= S_q_map",
+    ),
+    Bound(
+        "receiver_self_upper", "<=", _above_one, _s_rec,
+        lambda s, q: _spectral_upper(s.lambda_phi, s.sigma1, q),
+        "S_q_rec <= q/(q-1) ln(L/s1)",
+    ),
+    Bound(
+        "map_self_upper", "<=", _above_one, _s_map,
+        lambda s, q: _spectral_upper(s.dim, s.d1, q),
+        "S_q_map <= q/(q-1) ln(N/d1)",
+    ),
+    Bound(
+        "receiver_cross_upper", "<=", _above_one, _s_rec,
+        lambda s, q: _reordered_upper(s.lambda_phi, s.d1, q),
+        "S_q_rec <= F_max ln(L/d1)",
+    ),
+    Bound(
+        "map_cross_upper", "<=", _above_one, _s_map,
+        lambda s, q: _reordered_upper(s.dim, s.sigma1, q),
+        "S_q_map <= F_max ln(N/s1)",
+    ),
+    Bound(
+        "sigma1_vs_tau1", "<=", _always,
+        lambda s, q: s.sigma1,
+        lambda s, q: np.sqrt(s.dim * s.tau1),
+        "s1 <= sqrt(N t1) <= sqrt(N)",
+    ),
+    Bound(
+        "entropy_sum_lower", ">=", _always,
+        lambda s, q: _s_map(s, q) + _s_rec(s, q),
+        lambda s, q: 0.5 * f_min(q) * np.log(s.dim / s.tau1),
+        "S_q_map + S_q_rec >= (F_min/2) ln(N/t1)",
+    ),
+    Bound(
+        "receiver_majorization_upper", "<=", _always, _s_rec,
+        lambda s, q: receiver_upper_value(s.lambda_phi, s.dim, q),
+        "S_q_rec <= S_q((1, (L-1)/(N^2-1) ...)/L)",
+    ),
+    Bound(
+        "collision_identity", "==", _always,
+        lambda s, q: _s_map(s, 2.0),
+        lambda s, q: _s_rec(s, 2.0) + 2.0 * np.log(s.dim) - 2.0 * np.log(s.lambda_phi),
+        "S_2_map == S_2_rec + 2 ln(N/L)",
+    ),
+    Bound(
+        "collision_sum_upper", "<=", _always,
+        lambda s, q: _s_map(s, 2.0) + _s_rec(s, 2.0),
+        lambda s, q: 2.0 * np.log(s.dim * (s.dim + 1) / 2.0),
+        "S_2_map + S_2_rec <= 2 ln(N(N+1)/2)",
+    ),
+    Bound(
+        "map_from_receiver_lower", ">=", _always, _s_map,
+        lambda s, q: f_min(q) * np.log(s.dim / s.lambda_phi) + g_min(q) * _s_rec(s, q),
+        "S_q_map >= F_min ln(N/L) + G_min S_q_rec",
+    ),
+    Bound(
+        "interval_receiver_upper", "<=", _interval,
+        lambda s, q: _s_rec(s, 1.0),
+        lambda s, q: np.log(s.dim),
+        "S_rec <= ln N (segment image)",
+    ),
+    Bound(
+        "interval_map_lower", ">=", _interval,
+        lambda s, q: _s_map(s, 1.0),
+        lambda s, q: np.log(s.dim),
+        "S_map >= ln N (block Choi structure)",
+    ),
+    Bound(
+        "map_output_lower", ">=", _near_one, _s_map,
+        lambda s, q: np.log(s.dim) - _s_out(s, q),
+        "ln N - S(Phi(1/N)) <= S_map",
+    ),
+    Bound(
+        "map_output_upper", "<=", _always, _s_map,
+        lambda s, q: np.log(s.dim) + _s_out(s, q),
+        "S_q_map <= ln N + S_q(Phi(1/N))",
+    ),
+    Bound(
+        "map_rank_lower", ">=", _always, _s_map,
+        lambda s, q: np.log(s.dim) - np.log(np.maximum(_output_rank(s), 1)),
+        "S_q_map >= ln N - ln rank(Phi(1/N))",
+    ),
+    Bound(
+        "separable_map_lower", ">=", _always, _s_map,
+        lambda s, q: 0.25 * f_min(q) * np.log(s.dim),
+        "separable => S_q_map >= (F_min/4) ln N",
+        separable=True,
+    ),
+    Bound(
+        "separable_receiver_upper", "<=", _always, _s_rec,
+        lambda s, q: receiver_upper_value(float(s.dim), s.dim, q),
+        "separable => S_q_rec <= S_q((1, 1/(N+1) ...)/N)",
+        separable=True,
+    ),
+    Bound(
+        "separable_ratio", ">=", _always, _s_map,
+        lambda s, q: g_min(q) * _s_rec(s, q),
+        "separable => S_q_map >= G_min S_q_rec",
+        separable=True,
+    ),
+)
+
+
+def applicable_bounds(q, interval: bool = False) -> list[Bound]:
+    """Table rows of the bound report at order ``q``, sorted by id."""
+    q = _check_order(q)
+    rows = [b for b in TABLE if not b.separable and b.applies(q, interval)]
+    return sorted(rows, key=lambda b: b.id)
+
+
+def applicable_bound_ids(q, include_interval: bool = False) -> list[str]:
+    """Sorted record ids that :func:`evaluate_all` emits for a valid channel."""
+    return [b.id for b in applicable_bounds(q, include_interval)]
+
+
+def bound_columns(stack: ChannelStack, q, bound: Bound):
+    """``(lhs, rhs, slack)`` of one table row, one entry per channel."""
+    zero = np.zeros(len(stack))  # adding it broadcasts constants and folds -0.0
+    lhs = bound.lhs(stack, q) + zero
+    rhs = bound.rhs(stack, q) + zero
+    return lhs, rhs, _slack(lhs, rhs, bound.relation)
+
+
+def column_record(bound: Bound, columns, i: int = 0) -> BoundRecord:
+    """Record of channel ``i`` from the :func:`bound_columns` of ``bound``."""
+    lhs, rhs, slack = columns
+    return _record(bound.id, lhs[i], rhs[i], bound.relation, bound.citation, slack[i])
+
+
+def table_records(ch: Channel, q, ids) -> list[BoundRecord]:
+    """Records of the named table rows that apply at ``q``, in the order given."""
+    by_id = {b.id: b for b in TABLE}
+    rows = [by_id[rid] for rid in ids]
+    return [column_record(b, bound_columns(ch.stack, q, b)) for b in rows if b.applies(q, True)]
+
+
+# ---------------------------------------------------------------------------
+# channel-level bounds, by name
 
 
 def channel_entropy_bounds(ch: Channel, q) -> list[BoundRecord]:
@@ -268,68 +543,25 @@ def channel_entropy_bounds(ch: Channel, q) -> list[BoundRecord]:
     extremes (``_cross``).  Upper bounds drop out at ``q = 1`` where their
     coefficients diverge.
     """
-    q = _check_order(q)
-    n = ch.dim
-    lam, s1, d1 = ch.lambda_phi, ch.sigma1, ch.d1
-    s_rec = receiver_entropy(ch, q)
-    s_map = map_entropy(ch, q)
-    fmin, fmax = f_min(q), f_max(q)
-    self_coeff = 1.0 if math.isinf(q) else (q / (q - 1.0) if q > 1.0 else math.inf)
-
-    records = [
-        _record(
-            "receiver_self_lower", s_rec, math.log(lam / s1), ">=",
-            "ln(L/s1) <= S_q_rec",
+    return table_records(
+        ch,
+        _check_order(q),
+        (
+            "receiver_self_lower",
+            "map_self_lower",
+            "receiver_cross_lower",
+            "map_cross_lower",
+            "receiver_self_upper",
+            "map_self_upper",
+            "receiver_cross_upper",
+            "map_cross_upper",
         ),
-        _record(
-            "map_self_lower", s_map, math.log(n / d1), ">=", "ln(N/d1) <= S_q_map"
-        ),
-        _record(
-            "receiver_cross_lower", s_rec,
-            fmin * math.log(lam / math.sqrt(n * d1)), ">=",
-            "F_min ln(L/sqrt(N d1)) <= S_q_rec",
-        ),
-        _record(
-            "map_cross_lower", s_map,
-            fmin * math.log(n / math.sqrt(s1 * lam)), ">=",
-            "F_min ln(N/sqrt(s1 L)) <= S_q_map",
-        ),
-    ]
-    if math.isfinite(self_coeff):
-        records.append(
-            _record(
-                "receiver_self_upper", s_rec, self_coeff * math.log(lam / s1), "<=",
-                "S_q_rec <= q/(q-1) ln(L/s1)",
-            )
-        )
-        records.append(
-            _record(
-                "map_self_upper", s_map, self_coeff * math.log(n / d1), "<=",
-                "S_q_map <= q/(q-1) ln(N/d1)",
-            )
-        )
-    if math.isfinite(fmax):
-        records.append(
-            _record(
-                "receiver_cross_upper", s_rec, fmax * math.log(lam / d1), "<=",
-                "S_q_rec <= F_max ln(L/d1)",
-            )
-        )
-        records.append(
-            _record(
-                "map_cross_upper", s_map, fmax * math.log(n / s1), "<=",
-                "S_q_map <= F_max ln(N/s1)",
-            )
-        )
-    return records
+    )
 
 
 def sigma1_bound(ch: Channel) -> BoundRecord:
     """``sigma1 <= sqrt(N tau1)``; for bistochastic channels this forces 1."""
-    return _record(
-        "sigma1_vs_tau1", ch.sigma1, math.sqrt(ch.dim * ch.tau1), "<=",
-        "s1 <= sqrt(N t1) <= sqrt(N)",
-    )
+    return table_records(ch, 1.0, ("sigma1_vs_tau1",))[0]
 
 
 def entropy_sum_lower(ch: Channel, q) -> BoundRecord:
@@ -340,51 +572,12 @@ def entropy_sum_lower(ch: Channel, q) -> BoundRecord:
     ``(F_min/2) ln N``, so the largest output eigenvalue interpolates
     between the two regimes.
     """
-    q = _check_order(q)
-    total = map_entropy(ch, q) + receiver_entropy(ch, q)
-    bound = 0.5 * f_min(q) * math.log(ch.dim / ch.tau1)
-    return _record(
-        "entropy_sum_lower", total, bound, ">=",
-        "S_q_map + S_q_rec >= (F_min/2) ln(N/t1)",
-    )
-
-
-def receiver_upper_value(lam: float, n_dim: int, q) -> float:
-    """Largest ``S_q`` compatible with trace norm ``lam`` of an N^2 x N^2
-    superoperator whose largest singular value is at least 1.
-
-    The singular values majorize ``(1, (lam-1)/(N^2-1) x (N^2-1))``, whose
-    normalized Rényi entropy this function evaluates; Schur concavity turns
-    that into an upper bound.  The ``q = 1`` and ``q = inf`` limits are
-    handled in closed form.
-    """
-    q = float(q)
-    if math.isnan(q) or q < 0.0:
-        raise ValueError(f"Rényi order must be >= 0, got {q}")
-    if lam < 1.0 - 1e-9:
-        raise ValidationError(
-            f"trace norm {lam:.12g} below 1; not a trace-preserving channel's superoperator"
-        )
-    lam = max(float(lam), 1.0)
-    rest = n_dim * n_dim - 1
-    if math.isinf(q):
-        return math.log(lam)
-    if abs(q - 1.0) < 1e-6:
-        t = lam - 1.0
-        if t < 1e-300:
-            return math.log(lam)
-        return (t / lam) * math.log(rest / t) + math.log(lam)
-    inner = lam ** (-q) + (lam - 1.0) ** q / (lam**q * rest ** (q - 1.0))
-    return math.log(inner) / (1.0 - q)
+    return table_records(ch, _check_order(q), ("entropy_sum_lower",))[0]
 
 
 def receiver_entropy_upper(ch: Channel, q) -> BoundRecord:
     """``S_q_rec`` cannot exceed the majorization bound set by ``L`` alone."""
-    bound = receiver_upper_value(ch.lambda_phi, ch.dim, q)
-    return _record(
-        "receiver_majorization_upper", receiver_entropy(ch, q), bound, "<=",
-        "S_q_rec <= S_q((1, (L-1)/(N^2-1) ...)/L)",
-    )
+    return table_records(ch, renyi_order(q), ("receiver_majorization_upper",))[0]
 
 
 def collision_identity(ch: Channel) -> BoundRecord:
@@ -393,48 +586,24 @@ def collision_identity(ch: Channel) -> BoundRecord:
     It follows from the equality of Hilbert-Schmidt norms of the
     superoperator and its reshuffle.
     """
-    lhs = map_entropy(ch, 2.0)
-    rhs = receiver_entropy(ch, 2.0) + 2.0 * math.log(ch.dim) - 2.0 * math.log(ch.lambda_phi)
-    return _record(
-        "collision_identity", lhs, rhs, "==", "S_2_map == S_2_rec + 2 ln(N/L)"
-    )
+    return table_records(ch, 2.0, ("collision_identity",))[0]
 
 
 def collision_sum_upper(ch: Channel) -> BoundRecord:
     """``S_2_map + S_2_rec <= 2 ln(N(N+1)/2)``, tight on the mixture
     ``1/(N+1) id + N/(N+1) full-depolarizing``."""
-    total = map_entropy(ch, 2.0) + receiver_entropy(ch, 2.0)
-    bound = 2.0 * math.log(ch.dim * (ch.dim + 1) / 2.0)
-    return _record(
-        "collision_sum_upper", total, bound, "<=",
-        "S_2_map + S_2_rec <= 2 ln(N(N+1)/2)",
-    )
+    return table_records(ch, 2.0, ("collision_sum_upper",))[0]
 
 
 def map_entropy_lower(ch: Channel, q) -> BoundRecord:
     """``S_q_map >= F_min ln(N/L) + G_min S_q_rec`` for ``q in [1, inf]``."""
-    q = _check_order(q)
-    bound = f_min(q) * math.log(ch.dim / ch.lambda_phi) + g_min(q) * receiver_entropy(ch, q)
-    return _record(
-        "map_from_receiver_lower", map_entropy(ch, q), bound, ">=",
-        "S_q_map >= F_min ln(N/L) + G_min S_q_rec",
-    )
+    return table_records(ch, _check_order(q), ("map_from_receiver_lower",))[0]
 
 
 def interval_bounds(ch: Channel) -> list[BoundRecord]:
     """For channels mapping the state set onto a segment:
     ``S_rec <= ln N <= S_map`` at ``q = 1``."""
-    log_n = math.log(ch.dim)
-    return [
-        _record(
-            "interval_receiver_upper", receiver_entropy(ch, 1.0), log_n, "<=",
-            "S_rec <= ln N (segment image)",
-        ),
-        _record(
-            "interval_map_lower", map_entropy(ch, 1.0), log_n, ">=",
-            "S_map >= ln N (block Choi structure)",
-        ),
-    ]
+    return table_records(ch, 1.0, ("interval_receiver_upper", "interval_map_lower"))
 
 
 def output_entropy_sandwich(ch: Channel, q) -> list[BoundRecord]:
@@ -445,35 +614,9 @@ def output_entropy_sandwich(ch: Channel, q) -> list[BoundRecord]:
     ``S_q_map >= ln N - ln rank(Phi(1/N))``.  Constant channels
     ``rho -> xi`` saturate the upper branch.
     """
-    q = float(q)
-    if math.isnan(q) or q < 0.0:
-        raise ValueError(f"Rényi order must be >= 0, got {q}")
-    log_n = math.log(ch.dim)
-    s_map = map_entropy(ch, q)
-    s_out = output_entropy(ch, q)
-    records = []
-    if abs(q - 1.0) < 1e-6:
-        records.append(
-            _record(
-                "map_output_lower", s_map, log_n - s_out, ">=",
-                "ln N - S(Phi(1/N)) <= S_map",
-            )
-        )
-    records.append(
-        _record(
-            "map_output_upper", s_map, log_n + s_out, "<=",
-            "S_q_map <= ln N + S_q(Phi(1/N))",
-        )
+    return table_records(
+        ch, renyi_order(q), ("map_output_lower", "map_output_upper", "map_rank_lower")
     )
-    cutoff = 1e-9 * max(float(np.linalg.norm(ch.output_state)), 1e-300)
-    rank = int(np.count_nonzero(ch.output_eigenvalues > cutoff))
-    records.append(
-        _record(
-            "map_rank_lower", s_map, log_n - math.log(max(rank, 1)), ">=",
-            "S_q_map >= ln N - ln rank(Phi(1/N))",
-        )
-    )
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +645,8 @@ class BoundReport:
     def to_dict(self) -> dict:
         return {
             "channel_label": self.channel_label,
-            "q": _json_number(self.q),
-            "aggregates": {k: _json_number(v) for k, v in self.aggregates.items()},
+            "q": json_safe(self.q),
+            "aggregates": json_safe(self.aggregates),
             "records": [record_dict(r) for r in self.records],
         }
 
@@ -515,9 +658,21 @@ class BoundReport:
         ]
 
 
-def _json_number(x):
-    """JSON-safe scalar: non-finite floats become strings."""
-    if isinstance(x, float) and not math.isfinite(x):
+def json_safe(x):
+    """JSON-safe copy of a nested value: numpy scalars become Python ones,
+    tuples become lists, and non-finite floats become strings."""
+    if isinstance(x, dict):
+        return {k: json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [json_safe(v) for v in x]
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if math.isfinite(x):
+            return x
         return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
     return x
 
@@ -526,85 +681,35 @@ def record_dict(r: BoundRecord) -> dict:
     """JSON-safe dict form of a single record."""
     return {
         "id": r.id,
-        "lhs": _json_number(r.lhs),
-        "rhs": _json_number(r.rhs),
+        "lhs": json_safe(r.lhs),
+        "rhs": json_safe(r.rhs),
         "relation": r.relation,
-        "slack": _json_number(r.slack),
+        "slack": json_safe(r.slack),
         "satisfied": r.satisfied,
         "citation": r.citation,
     }
-
-
-def applicable_bound_ids(q, include_interval: bool = False) -> list[str]:
-    """Sorted record ids that :func:`evaluate_all` emits for a valid channel."""
-    q = _check_order(q)
-    ids = [
-        "collision_identity",
-        "collision_sum_upper",
-        "entropy_sum_lower",
-        "map_cross_lower",
-        "map_from_receiver_lower",
-        "map_output_upper",
-        "map_rank_lower",
-        "map_self_lower",
-        "receiver_cross_lower",
-        "receiver_majorization_upper",
-        "receiver_self_lower",
-        "sigma1_vs_tau1",
-    ]
-    if q > 1.0:
-        ids += ["map_cross_upper", "map_self_upper", "receiver_cross_upper", "receiver_self_upper"]
-    else:
-        ids.append("map_output_lower")
-    if include_interval:
-        ids += ["interval_map_lower", "interval_receiver_upper"]
-    return sorted(ids)
 
 
 def evaluate_all(ch: Channel, q) -> BoundReport:
     """Run every applicable bound for ``ch`` at order ``q``.
 
     Individual failures (e.g. undefined quantities on a permissively built
-    map) become per-record error entries instead of aborting the report.
+    map) become ``<id>_error`` records instead of aborting the report.
     The interval-specific checks run only when the channel was constructed
     as an interval map.  Records are sorted by id.
     """
     q = _check_order(q)
-    builders = [
-        lambda: channel_entropy_bounds(ch, q),
-        lambda: [sigma1_bound(ch)],
-        lambda: [entropy_sum_lower(ch, q)],
-        lambda: [receiver_entropy_upper(ch, q)],
-        lambda: [collision_identity(ch)],
-        lambda: [collision_sum_upper(ch)],
-        lambda: [map_entropy_lower(ch, q)],
-        lambda: output_entropy_sandwich(ch, q),
-    ]
-    names = [
-        "channel_entropy_bounds",
-        "sigma1_bound",
-        "entropy_sum_lower",
-        "receiver_entropy_upper",
-        "collision_identity",
-        "collision_sum_upper",
-        "map_entropy_lower",
-        "output_entropy_sandwich",
-    ]
-    if ch.meta.get("interval"):
-        builders.append(lambda: interval_bounds(ch))
-        names.append("interval_bounds")
-
     records: list[BoundRecord] = []
-    for name, build in zip(names, builders):
+    for bound in applicable_bounds(q, bool(ch.meta.get("interval"))):
         try:
-            records.extend(build())
+            records.append(column_record(bound, bound_columns(ch.stack, q, bound)))
         except Exception as exc:  # noqa: BLE001 - reported, never silently lost
             records.append(
                 BoundRecord(
-                    id=f"{name}_error",
+                    id=f"{bound.id}_error",
                     lhs=math.nan,
                     rhs=math.nan,
-                    relation="<=",
+                    relation=bound.relation,
                     slack=math.nan,
                     satisfied=False,
                     citation=f"{type(exc).__name__}: {exc}",
@@ -613,14 +718,9 @@ def evaluate_all(ch: Channel, q) -> BoundReport:
     records.sort(key=lambda r: r.id)
 
     aggregates = {"f_min": f_min(q), "f_max": f_max(q), "g_min": g_min(q)}
-    for key, getter in (
-        ("sigma1", lambda: ch.sigma1),
-        ("tau1", lambda: ch.tau1),
-        ("d1", lambda: ch.d1),
-        ("lambda_phi", lambda: ch.lambda_phi),
-    ):
+    for key in ("sigma1", "tau1", "d1", "lambda_phi"):
         try:
-            aggregates[key] = float(getter())
+            aggregates[key] = getattr(ch, key)
         except Exception:  # noqa: BLE001
             aggregates[key] = math.nan
     return BoundReport(

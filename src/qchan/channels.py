@@ -14,7 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import HERM_TOL, as_complex_matrix, hermitian_eigenvalues, reshuffle
+from .matcore import (
+    HERM_TOL,
+    as_complex_matrix,
+    first_failure,
+    hermitian_eigenvalues,
+    hermitian_part,
+    reshuffle,
+)
 
 # Trace-preservation tolerance on |sum A^dag A - 1|_2 and on Choi marginals.
 TP_TOL = 1e-9
@@ -40,15 +47,6 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape(n, n)
 
 
-def _trace_first(m4: np.ndarray) -> np.ndarray:
-    # m4 has axes (a_row, b_row, a_col, b_col); trace out the first factor.
-    return np.einsum("klkn->ln", m4)
-
-
-def _trace_second(m4: np.ndarray) -> np.ndarray:
-    return np.einsum("klml->km", m4)
-
-
 def check_state(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix (Hermitian, unit trace, PSD) and return it."""
     rho = as_complex_matrix(rho)
@@ -57,27 +55,215 @@ def check_state(rho, dim: int | None = None) -> np.ndarray:
         raise ValidationError(
             f"expected a {dim or rho.shape[0]}x{dim or rho.shape[0]} state, got {rho.shape}"
         )
-    dev = np.linalg.norm(rho - rho.conj().T)
-    if dev > HERM_TOL * max(np.linalg.norm(rho), 1e-300):
+    sym, ok, dev, _ = hermitian_part(rho)
+    if not ok:
         raise ValidationError(f"state is not Hermitian: |rho - rho^dag|_2 = {dev:.3e}")
     tr = rho.trace()
     if abs(tr - 1.0) > STATE_TOL:
         raise ValidationError(f"state trace is {tr:.12g}, expected 1 within {STATE_TOL:.1e}")
-    low = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+    low = float(np.linalg.eigvalsh(sym)[0])
     if low < -STATE_TOL:
         raise ValidationError(f"state has a negative eigenvalue {low:.3e}")
     return rho
 
 
+def _channel_name(i: int, index, size: int) -> str:
+    """Message prefix naming entry ``i`` of a stack; empty for a lone channel."""
+    if index is None:
+        return f"channel {i}: " if size > 1 else ""
+    return f"channel {index[i]}: "
+
+
+class ChannelStack:
+    """B linear maps on N x N density matrices, held as stacked arrays and
+    validated together.
+
+    ``superop`` is a ``(B, N^2, N^2)`` stack of superoperators.  Construction
+    forms the Choi matrices, checks that they are Hermitian, takes their
+    eigenvalues with one batched ``eigvalsh``, and sets the CP, TP and unital
+    flags and ``Phi(1/N)`` for every map at once.  The superoperator singular
+    values and the eigenvalues of ``Phi(1/N)`` are computed on first access,
+    again with one batched call each.  A :class:`Channel` is the ``B = 1``
+    case.
+
+    With ``require_cptp`` (the default) the first map that fails the CP or TP
+    check raises :class:`ValidationError`; for ``B > 1`` the message names it
+    as channel ``index[i]`` (by default its position ``i``).  Arrays are
+    read-only after construction; ``entropy_cache`` holds the normalized
+    spectra and Rényi entropies that :mod:`qchan.entropy` derives from them.
+    """
+
+    __slots__ = (
+        "dim",
+        "superop",
+        "choi",
+        "hermitian",
+        "choi_eigenvalues",
+        "choi_psd_tol",
+        "cp",
+        "tp",
+        "unital",
+        "output_state",
+        "_singular_values",
+        "_output_eigenvalues",
+        "entropy_cache",
+    )
+    # Arrays set at validation time, one entry per map; joined by join().
+    _VALIDATED = (
+        "superop",
+        "choi",
+        "hermitian",
+        "choi_eigenvalues",
+        "choi_psd_tol",
+        "cp",
+        "tp",
+        "unital",
+        "output_state",
+    )
+
+    def __init__(self, superop, dim: int, *, require_cptp=True, index=None):
+        superop = np.array(superop, dtype=complex)
+        n = int(dim)
+        d = n * n
+        if superop.ndim != 3 or superop.shape[1:] != (d, d):
+            raise ValueError(
+                f"expected a stack of {d}x{d} superoperators, got shape {superop.shape}"
+            )
+        if not np.isfinite(superop).all():
+            raise ValueError("superoperator contains non-finite entries")
+        b = superop.shape[0]
+        choi = superop.reshape(b, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(b, d, d)
+        sym, hermitian, herm_dev, choi_scale = hermitian_part(choi)
+        psd_tol = PSD_RTOL * choi_scale
+        eigenvalues = np.ascontiguousarray(np.linalg.eigvalsh(sym)[:, ::-1])
+        cp = hermitian & (eigenvalues[:, -1] >= -psd_tol)
+
+        mixed = np.eye(n, dtype=complex) / n
+        marginal = np.einsum("bklkn->bln", choi.reshape(b, n, n, n, n)) / n
+        marginal_dev = np.linalg.norm(marginal - mixed, axis=(-2, -1))
+        trace_dev = np.abs(choi.trace(axis1=-2, axis2=-1) - n)
+        tp = (marginal_dev <= TP_TOL) & (trace_dev <= TP_TOL)
+
+        image = superop @ _vec(mixed)
+        unital = np.linalg.norm(image - _vec(mixed), axis=-1) <= TP_TOL
+        out = image.reshape(b, n, n)
+        out = (out + out.swapaxes(-1, -2).conj()) / 2.0
+
+        i = first_failure(cp & tp) if require_cptp else None
+        if i is not None:
+            where = _channel_name(i, index, b)
+            if not hermitian[i]:
+                raise ValidationError(
+                    f"{where}Choi matrix is not Hermitian: |D - D^dag|_2 = {herm_dev[i]:.3e} "
+                    f"(tolerance {HERM_TOL:.1e} * |D|_2 = {HERM_TOL * choi_scale[i]:.3e})"
+                )
+            parts = []
+            if not cp[i]:
+                parts.append(
+                    f"CP fails: smallest Choi eigenvalue {eigenvalues[i, -1]:.3e} "
+                    f"< -{psd_tol[i]:.3e}"
+                )
+            if not tp[i]:
+                parts.append(
+                    f"TP fails: |tr_A omega - 1/N|_2 = {marginal_dev[i]:.3e}, "
+                    f"|tr D - N| = {trace_dev[i]:.3e} (tolerance {TP_TOL:.1e})"
+                )
+            raise ValidationError(where + "; ".join(parts))
+
+        self.dim = n
+        self.superop = superop
+        self.choi = choi
+        self.hermitian = hermitian
+        self.choi_eigenvalues = eigenvalues
+        self.choi_psd_tol = psd_tol
+        self.cp = cp
+        self.tp = tp
+        self.unital = unital
+        self.output_state = out
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for name in self._VALIDATED:
+            getattr(self, name).setflags(write=False)
+        self._singular_values = None
+        self._output_eigenvalues = None
+        self.entropy_cache = {}
+
+    @classmethod
+    def join(cls, stacks) -> "ChannelStack":
+        """One stack holding the maps of already validated stacks, in order.
+
+        Nothing is validated or decomposed again; spectra not yet computed
+        are computed for the joined stack on first access.
+        """
+        stacks = list(stacks)
+        if not stacks:
+            raise ValueError("need at least one stack to join")
+        dims = {s.dim for s in stacks}
+        if len(dims) != 1:
+            raise ValueError(f"cannot join stacks of different dimensions {sorted(dims)}")
+        out = cls.__new__(cls)
+        out.dim = stacks[0].dim
+        for name in cls._VALIDATED:
+            setattr(out, name, np.concatenate([getattr(s, name) for s in stacks]))
+        out._freeze()
+        return out
+
+    def __len__(self) -> int:
+        return self.superop.shape[0]
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of each superoperator, descending, shape ``(B, N^2)``."""
+        if self._singular_values is None:
+            s = np.linalg.svd(self.superop, compute_uv=False)
+            s.setflags(write=False)
+            self._singular_values = s
+        return self._singular_values
+
+    @property
+    def output_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of each ``Phi(1/N)``, descending, shape ``(B, N)``."""
+        if self._output_eigenvalues is None:
+            w = hermitian_eigenvalues(self.output_state, herm_tol=1e-8)
+            w.setflags(write=False)
+            self._output_eigenvalues = w
+        return self._output_eigenvalues
+
+    @property
+    def sigma1(self) -> np.ndarray:
+        """Largest singular value of each superoperator."""
+        return self.singular_values[:, 0]
+
+    @property
+    def lambda_phi(self) -> np.ndarray:
+        """Trace norm of each superoperator (sum of its singular values)."""
+        return self.singular_values.sum(axis=-1)
+
+    @property
+    def d1(self) -> np.ndarray:
+        """Largest eigenvalue of each Choi matrix."""
+        if not self.hermitian.all():
+            raise ValidationError("Choi matrix is not Hermitian; no eigenvalue data")
+        return self.choi_eigenvalues[:, 0]
+
+    @property
+    def tau1(self) -> np.ndarray:
+        """Largest eigenvalue of each ``Phi(1/N)``."""
+        return self.output_eigenvalues[:, 0]
+
+
 class Channel:
     """A linear map on N x N density matrices, stored as its N^2 x N^2 superoperator.
 
+    The channel keeps its data in a one-map :class:`ChannelStack`, so a
+    single channel and a batch go through the same validation and spectra.
     The Choi matrix and its eigenvalues are computed at construction (they
     drive the CP/TP validation); singular values, the canonical Kraus set,
-    and the image of the maximally mixed state are derived on first access
-    and cached.  Instances are immutable after ``__init__`` — the stored
-    arrays are marked read-only — so sharing a channel between threads that
-    only read from it is safe.
+    and the eigenvalues of the image of the maximally mixed state are derived
+    on first access and cached.  Instances are immutable after ``__init__``
+    — the stored arrays are marked read-only — so sharing a channel between
+    threads that only read from it is safe.
 
     Parameters
     ----------
@@ -97,22 +283,7 @@ class Channel:
         parameters).  Stored as-is.
     """
 
-    __slots__ = (
-        "dim",
-        "superop",
-        "choi",
-        "choi_eigenvalues",
-        "choi_psd_tol",
-        "cp",
-        "tp",
-        "unital",
-        "label",
-        "meta",
-        "_singular_values",
-        "_kraus",
-        "_output_state",
-        "_output_eigenvalues",
-    )
+    __slots__ = ("stack", "label", "meta", "_kraus")
 
     def __init__(self, superop, dim=None, *, require_cptp=True, label=None, meta=None):
         superop = as_complex_matrix(superop)
@@ -122,85 +293,69 @@ class Channel:
         n = int(round(rows**0.5)) if dim is None else int(dim)
         if n * n != rows:
             raise ValueError(f"superoperator size {rows} is not a square of the dimension")
-        self.dim = n
-        self.superop = superop.copy()
-        self.choi = reshuffle(self.superop, n)
-
-        herm_dev = np.linalg.norm(self.choi - self.choi.conj().T)
-        choi_scale = np.linalg.norm(self.choi)
-        self.choi_psd_tol = PSD_RTOL * choi_scale
-        if herm_dev > HERM_TOL * max(choi_scale, 1e-300):
-            if require_cptp:
-                raise ValidationError(
-                    f"Choi matrix is not Hermitian: |D - D^dag|_2 = {herm_dev:.3e} "
-                    f"(tolerance {HERM_TOL:.1e} * |D|_2 = {HERM_TOL * choi_scale:.3e})"
-                )
-            self.choi_eigenvalues = None
-            self.cp = False
-        else:
-            sym = (self.choi + self.choi.conj().T) / 2.0
-            self.choi_eigenvalues = np.linalg.eigvalsh(sym)[::-1]
-            self.choi_eigenvalues.setflags(write=False)
-            self.cp = bool(self.choi_eigenvalues[-1] >= -self.choi_psd_tol)
-
-        choi4 = self.choi.reshape(n, n, n, n)
-        marginal_dev = np.linalg.norm(_trace_first(choi4) / n - np.eye(n) / n)
-        trace_dev = abs(self.choi.trace() - n)
-        self.tp = bool(marginal_dev <= TP_TOL and trace_dev <= TP_TOL)
-
-        mixed = _vec(np.eye(n, dtype=complex) / n)
-        self.unital = bool(np.linalg.norm(self.superop @ mixed - mixed) <= TP_TOL)
-
-        if require_cptp and not (self.cp and self.tp):
-            parts = []
-            if not self.cp:
-                low = self.choi_eigenvalues[-1] if self.choi_eigenvalues is not None else None
-                parts.append(
-                    f"CP fails: smallest Choi eigenvalue {low:.3e} < -{self.choi_psd_tol:.3e}"
-                )
-            if not self.tp:
-                parts.append(
-                    f"TP fails: |tr_A omega - 1/N|_2 = {marginal_dev:.3e}, "
-                    f"|tr D - N| = {trace_dev:.3e} (tolerance {TP_TOL:.1e})"
-                )
-            raise ValidationError("; ".join(parts))
-
+        self.stack = ChannelStack(superop[None], n, require_cptp=require_cptp)
         self.label = label
         self.meta = dict(meta) if meta else {}
-        self.superop.setflags(write=False)
-        self.choi.setflags(write=False)
-        self._singular_values = None
         self._kraus = None
-        self._output_state = None
-        self._output_eigenvalues = None
+
+    # -- stored data ----------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return self.stack.dim
+
+    @property
+    def superop(self) -> np.ndarray:
+        return self.stack.superop[0]
+
+    @property
+    def choi(self) -> np.ndarray:
+        """Dynamical matrix ``D = reshuffle(superop)``."""
+        return self.stack.choi[0]
+
+    @property
+    def choi_eigenvalues(self) -> np.ndarray | None:
+        """Choi eigenvalues, descending; ``None`` when ``D`` is not Hermitian."""
+        return self.stack.choi_eigenvalues[0] if self.stack.hermitian[0] else None
+
+    @property
+    def choi_psd_tol(self) -> float:
+        """Negativity allowed in a Choi eigenvalue, ``PSD_RTOL * |D|_2``."""
+        return float(self.stack.choi_psd_tol[0])
+
+    @property
+    def cp(self) -> bool:
+        return bool(self.stack.cp[0])
+
+    @property
+    def tp(self) -> bool:
+        return bool(self.stack.tp[0])
+
+    @property
+    def unital(self) -> bool:
+        return bool(self.stack.unital[0])
 
     # -- derived data ---------------------------------------------------
 
     @property
     def singular_values(self) -> np.ndarray:
         """Singular values of the superoperator, descending."""
-        if self._singular_values is None:
-            s = np.linalg.svd(self.superop, compute_uv=False)
-            s.setflags(write=False)
-            self._singular_values = s
-        return self._singular_values
+        return self.stack.singular_values[0]
 
     @property
     def sigma1(self) -> float:
         """Largest singular value of the superoperator."""
-        return float(self.singular_values[0])
+        return float(self.stack.sigma1[0])
 
     @property
     def lambda_phi(self) -> float:
         """Trace norm of the superoperator (sum of its singular values)."""
-        return float(self.singular_values.sum())
+        return float(self.stack.lambda_phi[0])
 
     @property
     def d1(self) -> float:
         """Largest eigenvalue of the Choi matrix."""
-        if self.choi_eigenvalues is None:
-            raise ValidationError("Choi matrix is not Hermitian; no eigenvalue data")
-        return float(self.choi_eigenvalues[0])
+        return float(self.stack.d1[0])
 
     @property
     def kraus(self) -> list[np.ndarray]:
@@ -212,27 +367,17 @@ class Channel:
     @property
     def output_state(self) -> np.ndarray:
         """Image of the maximally mixed state, ``Phi(1/N)``."""
-        if self._output_state is None:
-            n = self.dim
-            out = _unvec(self.superop @ _vec(np.eye(n, dtype=complex) / n), n)
-            out = (out + out.conj().T) / 2.0
-            out.setflags(write=False)
-            self._output_state = out
-        return self._output_state
+        return self.stack.output_state[0]
 
     @property
     def output_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of ``Phi(1/N)``, descending."""
-        if self._output_eigenvalues is None:
-            w = hermitian_eigenvalues(self.output_state, herm_tol=1e-8)
-            w.setflags(write=False)
-            self._output_eigenvalues = w
-        return self._output_eigenvalues
+        return self.stack.output_eigenvalues[0]
 
     @property
     def tau1(self) -> float:
         """Largest eigenvalue of ``Phi(1/N)``."""
-        return float(self.output_eigenvalues[0])
+        return float(self.stack.tau1[0])
 
     # -- actions ----------------------------------------------------------
 
@@ -240,10 +385,6 @@ class Channel:
         """Apply the channel to a density matrix and return the output state."""
         rho = check_state(rho, self.dim)
         return _unvec(self.superop @ _vec(rho), self.dim)
-
-    def output_of_maximally_mixed(self) -> np.ndarray:
-        """Return ``Phi(1/N)``; its largest eigenvalue is :attr:`tau1`."""
-        return self.output_state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         name = self.label or "channel"
@@ -312,11 +453,10 @@ def choi_to_kraus(choi, dim: int | None = None) -> list[np.ndarray]:
     n = int(round(choi.shape[0] ** 0.5)) if dim is None else int(dim)
     if n * n != choi.shape[0] or choi.shape[0] != choi.shape[1]:
         raise ValueError(f"Choi matrix of shape {choi.shape} does not match dimension {n}")
-    scale = np.linalg.norm(choi)
-    dev = np.linalg.norm(choi - choi.conj().T)
-    if dev > HERM_TOL * max(scale, 1e-300):
+    sym, ok, dev, scale = hermitian_part(choi)
+    if not ok:
         raise ValidationError(f"Choi matrix is not Hermitian: |D - D^dag|_2 = {dev:.3e}")
-    w, v = np.linalg.eigh((choi + choi.conj().T) / 2.0)
+    w, v = np.linalg.eigh(sym)
     if w[0] < -PSD_RTOL * scale:
         raise ValidationError(
             f"Choi matrix is not positive semidefinite: eigenvalue {w[0]:.3e} "
@@ -363,13 +503,34 @@ def from_isometry(v, dim: int, env_dim: int, *, label=None, meta=None) -> Channe
     v = as_complex_matrix(v)
     if v.shape != (dim * env_dim, dim):
         raise ValueError(f"expected a {dim * env_dim}x{dim} isometry, got {v.shape}")
-    dev = np.linalg.norm(v.conj().T @ v - np.eye(dim))
-    if dev > UNITARY_TOL:
+    superop = isometry_superops(v[None], dim, env_dim)[0]
+    return Channel(superop, dim, label=label, meta=meta)
+
+
+def isometry_superops(v, dim: int, env_dim: int, *, index=None) -> np.ndarray:
+    """Superoperators of a ``(B, N*d, N)`` stack of Stinespring isometries.
+
+    Each ``V`` must satisfy ``|V^dag V - 1_N|_2 <= UNITARY_TOL``, a stricter
+    test than the channel's own trace-preservation check; for ``B > 1`` the
+    first failure is named as channel ``index[i]`` (by default ``i``).  The Kraus
+    operators ``(A_i)[a, a'] = V[a*d + i, a']`` resolve the identity exactly
+    when ``V`` is an isometry, so the superoperator
+    ``sum_i kron(A_i, conj(A_i))`` is formed straight from ``V``.
+    """
+    v = np.asarray(v, dtype=complex)
+    b = v.shape[0]
+    gram = v.swapaxes(-1, -2).conj() @ v
+    dev = np.linalg.norm(gram - np.eye(dim), axis=(-2, -1))
+    i = first_failure(dev <= UNITARY_TOL)
+    if i is not None:
+        where = _channel_name(i, index, b)
         raise ValidationError(
-            f"matrix is not an isometry: |V^dag V - 1|_2 = {dev:.3e} (tolerance {UNITARY_TOL:.1e})"
+            f"{where}matrix is not an isometry: |V^dag V - 1|_2 = {dev[i]:.3e} "
+            f"(tolerance {UNITARY_TOL:.1e})"
         )
-    ops = np.transpose(v.reshape(dim, env_dim, dim), (1, 0, 2))
-    return from_kraus(ops, label=label, meta=meta)
+    d = dim * dim
+    blocks = v.reshape(b, dim, env_dim, dim)
+    return np.einsum("bkim,blin->bklmn", blocks, blocks.conj()).reshape(b, d, d)
 
 
 def remix_kraus(ops, v) -> list[np.ndarray]:

@@ -9,9 +9,11 @@ Four subcommands:
 * ``verify`` — randomized self-checks of the library's inequalities.
 
 Determinism contract: identical command line plus seed produces
-byte-identical output files, independent of the thread count
-(``QCHAN_THREADS`` caps the scan worker pool).  Exit codes: 0 success,
-1 property violation, 2 input error.
+byte-identical output files.  ``scan`` works through its rows in chunks
+whose size follows from ``SCAN_CHUNK_BYTES``; every row draws from its own
+substream and every batched kernel treats each channel on its own, so the
+bytes depend only on the arguments, never on the chunk size.  Exit codes:
+0 success, 1 property violation, 2 input error.
 """
 
 from __future__ import annotations
@@ -19,14 +21,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import bounds, entropy, separability, zoo
-from .channels import Channel, ValidationError, from_choi, from_kraus, from_superoperator
+from .bounds import json_safe
+from .channels import (
+    Channel,
+    ChannelStack,
+    ValidationError,
+    from_choi,
+    from_kraus,
+    from_superoperator,
+)
 
 FAMILY_NAMES = (
     "identity",
@@ -51,6 +59,13 @@ ENSEMBLES = (
 )
 
 CURVES = ("ab", "interval_cd", "diagonal_Rinv")
+
+# Smallest and largest system dimension N accepted by family specs and scan.
+DIM_LIMITS = (2, 8)
+
+# Byte budget of one stacked (B, N^2, N^2) complex array in a scan chunk;
+# it sets the rows per chunk, so memory stays flat as N grows.
+SCAN_CHUNK_BYTES = 1 << 16
 
 SCAN_BASE_COLUMNS = (
     "label",
@@ -173,9 +188,7 @@ def load_channel_spec(doc) -> Channel:
         fam = doc.get("family")
         if not isinstance(fam, dict) or "name" not in fam:
             raise ValueError('family form needs a "family" object with a "name"')
-        dim = int(doc.get("dim", 2))
-        if not 2 <= dim <= 8:
-            raise ValueError(f"dim must be in [2, 8], got {dim}")
+        dim = _check_dim(int(doc.get("dim", 2)), "dim")
         params = fam.get("params", {})
         if not isinstance(params, dict):
             raise ValueError('"params" must be an object')
@@ -206,36 +219,20 @@ def load_channel_spec(doc) -> Channel:
 
 
 def _fmt(x) -> str:
-    """Stable text form for CSV cells."""
-    if isinstance(x, bool):
+    """Stable text form for CSV cells (floats as ``.17g``, so ``nan``,
+    ``inf`` and ``-inf`` spell themselves)."""
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
+        return format(float(x), ".17g")
     return str(x)
 
 
-def _json_safe(x):
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isfinite(x):
-            return x
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-    return x
+def _fmt_column(values: list) -> list[str]:
+    """:func:`_fmt` of every cell of a column of Python values."""
+    if values and type(values[0]) is float:
+        return [f"{x:.17g}" for x in values]
+    return [_fmt(x) for x in values]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -246,16 +243,11 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QCHAN_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"QCHAN_THREADS must be an integer, got {raw!r}") from None
-        if value >= 1:
-            return value
-    return min(8, os.cpu_count() or 1)
+def _check_dim(dim: int, name: str) -> int:
+    low, high = DIM_LIMITS
+    if not low <= dim <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {dim}")
+    return dim
 
 
 def _gnuplot_script(csv_path: str, xcol: int, ycol: int, xlabel: str, ylabel: str) -> str:
@@ -308,7 +300,7 @@ def cmd_analyze(args) -> int:
             verdict = separability.classify_region(ch, q).to_dict()
             verdict["q"] = q
             report["separability"].append(verdict)
-    text = json.dumps(_json_safe(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
     _write_text(args.out, text)
     return 0
 
@@ -338,28 +330,63 @@ def _ensemble_channel(ensemble: str, dim: int, seed: int, index: int, n: int) ->
     raise ValueError(f"unknown ensemble {ensemble!r}; valid: {', '.join(ENSEMBLES)}")
 
 
-def _scan_row(ensemble: str, dim: int, seed: int, index: int, n: int, q: float, ids) -> list:
-    ch = _ensemble_channel(ensemble, dim, seed, index, n)
-    ep = entropy.entropy_point(ch, q)
-    report = bounds.evaluate_all(ch, q)
-    verdict = separability.classify_region(ch, q)
-    slacks = {r.id: r.slack for r in report.records}
-    label = (ch.label or ensemble).replace(",", ";")
-    row = [
-        label,
-        index,
-        q,
-        ep.s_map,
-        ep.s_rec,
-        ep.extras["s_output"],
-        ep.extras["sigma1"],
-        ep.extras["tau1"],
-        ep.extras["d1"],
-        ep.extras["lambda_phi"],
-        verdict.region,
-    ]
-    row.extend(slacks.get(cid, math.nan) for cid in ids)
-    return row
+def _chunk_rows(dim: int) -> int:
+    """Rows per scan chunk: as many ``N^2 x N^2`` complex matrices as fit
+    in ``SCAN_CHUNK_BYTES``, and at least one."""
+    return max(1, SCAN_CHUNK_BYTES // (16 * dim**4))
+
+
+def _sample_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int):
+    """Validated stack and CSV-safe labels of the scan rows ``indices``."""
+    if ensemble == "random_cptp":
+        stack, labels = zoo.random_cptp_stack(
+            dim,
+            [dim if i % 2 == 0 else dim * dim for i in indices],
+            [zoo.rng_substream(seed, i) for i in indices],
+            index=indices,
+        )
+    else:
+        channels = [_ensemble_channel(ensemble, dim, seed, i, n) for i in indices]
+        stack = ChannelStack.join(ch.stack for ch in channels)
+        labels = [ch.label or ensemble for ch in channels]
+    return stack, [label.replace(",", ";") for label in labels]
+
+
+def _scan_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int, q: float, table):
+    """Columns of the scan rows ``indices``: base columns, then one slack
+    column per bound of ``table``, each with one entry per row."""
+    stack, labels = _sample_chunk(ensemble, dim, seed, indices, n)
+    point = entropy.entropy_columns(stack, q)
+    columns = [labels, list(indices), [q] * len(indices)]
+    columns += [point[name] for name in SCAN_BASE_COLUMNS[3:-1]]
+    columns.append(separability.classify_regions(stack, q))
+    for bound in table:
+        try:
+            slack = bounds.bound_columns(stack, q, bound)[2]
+        except Exception as exc:  # noqa: BLE001 - any failure ends the scan, never a nan cell
+            raise ValidationError(
+                f"bound {bound.id} failed on seed_index {indices[0]}..{indices[-1]}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
+        bad = np.flatnonzero(~np.isfinite(slack))
+        if bad.size:
+            raise ValidationError(
+                f"bound {bound.id} is not finite at seed_index {indices[bad[0]]} "
+                f"(slack {slack[bad[0]]})"
+            )
+        columns.append(slack)
+    return columns
+
+
+def _scan_columns(ensemble: str, dim: int, seed: int, n: int, q: float, table) -> list[list]:
+    """Every scan column over all ``n`` rows, as lists of Python values."""
+    step = _chunk_rows(dim)
+    columns: list[list] = [[] for _ in range(len(SCAN_BASE_COLUMNS) + len(table))]
+    for start in range(0, n, step):
+        indices = range(start, min(n, start + step))
+        for column, part in zip(columns, _scan_chunk(ensemble, dim, seed, indices, n, q, table)):
+            column.extend(part.tolist() if isinstance(part, np.ndarray) else part)
+    return columns
 
 
 def cmd_scan(args) -> int:
@@ -369,23 +396,17 @@ def cmd_scan(args) -> int:
         raise ValueError(f"unknown ensemble {args.ensemble!r}; valid: {', '.join(ENSEMBLES)}")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    if not 2 <= args.dim <= 8:
-        raise ValueError(f"--dim must be in [2, 8], got {args.dim}")
+    _check_dim(args.dim, "--dim")
     q = _parse_q(args.q)
     if q < 1.0:
         raise ValueError("scan requires q >= 1 (bound columns are undefined below)")
-    ids = bounds.applicable_bound_ids(q, include_interval=(args.ensemble == "random_interval"))
-    columns = list(SCAN_BASE_COLUMNS) + [f"slack_{cid}" for cid in ids]
-
-    def build(index: int) -> list:
-        return _scan_row(args.ensemble, args.dim, args.seed, index, args.n, q, ids)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(build, range(args.n)))
+    table = bounds.applicable_bounds(q, interval=(args.ensemble == "random_interval"))
+    columns = list(SCAN_BASE_COLUMNS) + [f"slack_{b.id}" for b in table]
+    values = _scan_columns(args.ensemble, args.dim, args.seed, args.n, q, table)
 
     if args.format == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(map(",".join, zip(*map(_fmt_column, values))))
         _write_text(args.out, "\n".join(lines) + "\n")
     else:
         doc = {
@@ -396,9 +417,9 @@ def cmd_scan(args) -> int:
             "q": q,
             "seed": args.seed,
             "columns": columns,
-            "rows": rows,
+            "rows": [list(row) for row in zip(*values)],
         }
-        _write_text(args.out, json.dumps(_json_safe(doc), indent=2, sort_keys=True) + "\n")
+        _write_text(args.out, json.dumps(json_safe(doc), indent=2, sort_keys=True) + "\n")
     if args.gnuplot:
         if args.mode == "output_plane":
             script = _gnuplot_script(args.out, 6, 4, "S_q(Phi(1/N))", "S_q^map")
@@ -668,7 +689,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="entropy_plane", help="entropy_plane or output_plane")
     p.add_argument("--ensemble", default="random_cptp", help=", ".join(ENSEMBLES))
     p.add_argument("--n", type=int, default=1000, help="number of sampled channels")
-    p.add_argument("--dim", type=int, default=2, help="system dimension N in [2, 8]")
+    p.add_argument(
+        "--dim", type=int, default=2, help="system dimension N in [%d, %d]" % DIM_LIMITS
+    )
     p.add_argument("--q", default="1", help="Rényi order (single value, >= 1 or inf)")
     p.add_argument("--seed", type=int, default=0, help="base seed; per-index substreams")
     p.add_argument("--out", required=True, help="output path")

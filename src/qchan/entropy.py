@@ -18,87 +18,162 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import SPECTRUM_ZERO_RTOL, hermitian_eigenvalues
-from .channels import Channel, ValidationError, _check_kraus, check_state
+from .matcore import SPECTRUM_ZERO_RTOL, first_failure, hermitian_eigenvalues
+from .channels import Channel, ChannelStack, ValidationError, _check_kraus, check_state
 from .zoo import PAULI
 
 # |q - 1| below this window routes to the Shannon limit of the Rényi formula.
 Q_ONE_WINDOW = 1e-6
 
 
+def _rows(p: np.ndarray, what: str) -> np.ndarray:
+    """View a vector or a stack of vectors as 2-D, rejecting other shapes."""
+    if p.ndim not in (1, 2) or p.shape[-1] == 0:
+        raise ValueError(
+            f"expected a non-empty 1-D {what} or a stack of them, got shape {p.shape}"
+        )
+    return p.reshape(-1, p.shape[-1])
+
+
+def _row_name(p: np.ndarray, i: int) -> str:
+    return f"row {i}: " if p.ndim == 2 else ""
+
+
 def check_probabilities(p) -> np.ndarray:
-    """Validate a probability vector and return it with tiny negatives clipped."""
+    """Validate a probability vector, or each row of a 2-D stack of them,
+    and return it with tiny negatives clipped."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError(f"expected a non-empty 1-D weight vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    rows = _rows(p, "weight vector")
+    if not np.isfinite(p).all():
         raise ValueError("weights contain non-finite entries")
-    if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
-        raise ValueError(f"weights outside [0, 1]: min {p.min():.3e}, max {p.max():.6f}")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"weights sum to {total:.12f}, expected 1 within 1e-10")
-    return np.clip(p, 0.0, None)
+    low, high = rows.min(axis=-1), rows.max(axis=-1)
+    i = first_failure((low >= -1e-12) & (high <= 1.0 + 1e-12))
+    if i is not None:
+        raise ValueError(
+            f"{_row_name(p, i)}weights outside [0, 1]: min {low[i]:.3e}, max {high[i]:.6f}"
+        )
+    total = rows.sum(axis=-1)
+    i = first_failure(np.abs(total - 1.0) <= 1e-10)
+    if i is not None:
+        raise ValueError(
+            f"{_row_name(p, i)}weights sum to {total[i]:.12f}, expected 1 within 1e-10"
+        )
+    return np.maximum(p, 0.0)
 
 
-def renyi(p, q) -> float:
+def renyi(p, q):
     """Rényi entropy ``S_q(p) = ln(sum_i p_i^q) / (1 - q)`` in nats.
 
     ``q = 1`` (or anything within ``Q_ONE_WINDOW`` of it) gives the Shannon
     entropy, ``q = 0`` the logarithm of the support size, and ``math.inf``
     the min-entropy ``-ln max_i p_i``.  Zero weights never reach a logarithm.
+    A 1-D ``p`` gives a float; a 2-D stack gives one entropy per row.
     """
     p = check_probabilities(p)
+    value = _renyi(p, renyi_order(q))
+    return float(value) if p.ndim == 1 else value
+
+
+def renyi_order(q) -> float:
+    """Validate a Rényi order (``q >= 0``, ``math.inf`` allowed)."""
     q = float(q)
     if math.isnan(q) or q < 0:
         raise ValueError(f"Rényi order must be >= 0, got {q}")
+    return q
+
+
+def _renyi(p: np.ndarray, q: float):
+    # p holds validated probability vectors along its last axis.
     if math.isinf(q):
-        value = -np.log(p.max())
+        value = -np.log(p.max(axis=-1))
     elif abs(q - 1.0) < Q_ONE_WINDOW:
-        nz = p[p > 0.0]
-        value = -np.sum(nz * np.log(nz))
+        value = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
     elif q == 0.0:
-        value = np.log(np.count_nonzero(p > 0.0))
+        value = np.log(np.count_nonzero(p > 0.0, axis=-1))
     else:
-        value = np.log(np.sum(p[p > 0.0] ** q)) / (1.0 - q)
-    return float(value) + 0.0  # +0.0 folds -0.0 into 0.0
+        value = np.log(np.sum(p**q, axis=-1)) / (1.0 - q)
+    return value + 0.0  # +0.0 folds -0.0 into 0.0
 
 
-def spectrum_probabilities(values, negative_tol: float = 0.0) -> np.ndarray:
-    """Turn a spectrum into a probability vector.
+def spectrum_probabilities(values, negative_tol=0.0) -> np.ndarray:
+    """Turn a spectrum, or each row of a 2-D stack of spectra, into a
+    probability vector.
 
-    Entries below ``-negative_tol`` raise; negatives within the tolerance are
-    clamped to zero, values below ``SPECTRUM_ZERO_RTOL`` times the largest
-    are treated as exact zeros, and the remainder is renormalized.
+    Entries below ``-negative_tol`` (a scalar or one value per row) raise;
+    negatives within the tolerance are clamped to zero, values below
+    ``SPECTRUM_ZERO_RTOL`` times the largest are treated as exact zeros, and
+    the remainder is renormalized.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a non-empty 1-D spectrum, got shape {v.shape}")
-    low = v.min()
-    if low < -negative_tol:
+    rows = _rows(v, "spectrum")
+    tol = np.asarray(negative_tol, dtype=float)
+    low = rows.min(axis=-1)
+    i = first_failure(low >= -tol)
+    if i is not None:
         raise ValidationError(
-            f"spectrum entry {low:.3e} below the allowed negativity -{negative_tol:.3e}"
+            f"{_row_name(v, i)}spectrum entry {low[i]:.3e} below the allowed "
+            f"negativity -{tol.flat[i if tol.size > 1 else 0]:.3e}"
         )
-    v = np.clip(v, 0.0, None)
-    top = v.max()
-    if top <= 0.0:
+    v = np.maximum(v, 0.0)
+    top = v.max(axis=-1, keepdims=True)
+    if (top <= 0.0).any():
         raise ValueError("spectrum has no positive weight")
     v = np.where(v < SPECTRUM_ZERO_RTOL * top, 0.0, v)
-    return v / v.sum()
+    return v / v.sum(axis=-1, keepdims=True)
+
+
+def probabilities(stack: ChannelStack, kind: str) -> np.ndarray:
+    """One validated probability vector per channel of a stack, cached on it.
+
+    ``kind`` names the spectrum: ``"map"`` is the rescaled Choi spectrum
+    ``lambda(D)/N``, ``"receiver"`` the superoperator singular values over
+    ``L``, and ``"output"`` the spectrum of ``Phi(1/N)``.  Each is formed
+    and validated once per stack, on first use, so a spectrum that cannot be
+    formed (the map spectrum of a non-Hermitian Choi matrix) only fails what
+    reads it.
+    """
+    p = stack.entropy_cache.get(kind)
+    if p is None:
+        if kind == "map":
+            if not stack.hermitian.all():
+                raise ValidationError(
+                    "channel has a non-Hermitian Choi matrix; map entropy undefined"
+                )
+            p = spectrum_probabilities(stack.choi_eigenvalues, negative_tol=stack.choi_psd_tol)
+        elif kind == "receiver":
+            p = spectrum_probabilities(stack.singular_values)
+        elif kind == "output":
+            scale = np.linalg.norm(stack.output_state, axis=(-2, -1))
+            p = spectrum_probabilities(
+                stack.output_eigenvalues, negative_tol=1e-9 * np.maximum(scale, 1.0)
+            )
+        else:
+            raise ValueError(f"unknown spectrum {kind!r}")
+        p = check_probabilities(p)
+        p.setflags(write=False)
+        stack.entropy_cache[kind] = p
+    return p
+
+
+def entropies(stack: ChannelStack, kind: str, q) -> np.ndarray:
+    """Rényi entropies of :func:`probabilities`, one per channel, cached per order."""
+    key = (kind, renyi_order(q))
+    value = stack.entropy_cache.get(key)
+    if value is None:
+        value = _renyi(probabilities(stack, kind), key[1])
+        value.setflags(write=False)
+        stack.entropy_cache[key] = value
+    return value
 
 
 def map_entropy(ch: Channel, q) -> float:
     """Rényi entropy of the channel's rescaled Choi spectrum ``lambda(D)/N``."""
-    if ch.choi_eigenvalues is None:
-        raise ValidationError("channel has a non-Hermitian Choi matrix; map entropy undefined")
-    probs = spectrum_probabilities(ch.choi_eigenvalues, negative_tol=ch.choi_psd_tol)
-    return renyi(probs, q)
+    return float(entropies(ch.stack, "map", q)[0])
 
 
 def receiver_entropy(ch: Channel, q) -> float:
     """Rényi entropy of the normalized superoperator singular values."""
-    probs = spectrum_probabilities(ch.singular_values)
-    return renyi(probs, q)
+    return float(entropies(ch.stack, "receiver", q)[0])
 
 
 def povm_entropy(ops, q) -> float:
@@ -136,11 +211,7 @@ def exchange_entropy(ch: Channel, rho) -> float:
 
 def output_entropy(ch: Channel, q) -> float:
     """Rényi entropy of ``Phi(1/N)``, the image of the maximally mixed state."""
-    scale = float(np.linalg.norm(ch.output_state))
-    probs = spectrum_probabilities(
-        ch.output_eigenvalues, negative_tol=1e-9 * max(scale, 1.0)
-    )
-    return renyi(probs, q)
+    return float(entropies(ch.stack, "output", q)[0])
 
 
 def bloch_ellipsoid(ch: Channel) -> tuple[float, float, float]:
@@ -181,19 +252,31 @@ class EntropyPoint:
     extras: dict = field(default_factory=dict)
 
 
+# Scalar diagnostics carried by an EntropyPoint, in order.
+POINT_EXTRAS = ("s_output", "sigma1", "tau1", "d1", "lambda_phi")
+
+
+def entropy_columns(stack: ChannelStack, q) -> dict[str, np.ndarray]:
+    """Both channel entropies and the standard diagnostics, one array each
+    with an entry per channel of the stack."""
+    return {
+        "s_map": entropies(stack, "map", q),
+        "s_rec": entropies(stack, "receiver", q),
+        "s_output": entropies(stack, "output", q),
+        "sigma1": stack.sigma1,
+        "tau1": stack.tau1,
+        "d1": stack.d1,
+        "lambda_phi": stack.lambda_phi,
+    }
+
+
 def entropy_point(ch: Channel, q) -> EntropyPoint:
     """Evaluate both channel entropies plus the standard scalar diagnostics."""
-    extras = {
-        "s_output": output_entropy(ch, q),
-        "sigma1": ch.sigma1,
-        "tau1": ch.tau1,
-        "d1": ch.d1,
-        "lambda_phi": ch.lambda_phi,
-    }
+    cols = entropy_columns(ch.stack, q)
     return EntropyPoint(
         q=float(q),
-        s_map=map_entropy(ch, q),
-        s_rec=receiver_entropy(ch, q),
+        s_map=float(cols["s_map"][0]),
+        s_rec=float(cols["s_rec"][0]),
         channel_label=ch.label or "channel",
-        extras=extras,
+        extras={key: float(cols[key][0]) for key in POINT_EXTRAS},
     )

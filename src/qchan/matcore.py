@@ -105,25 +105,54 @@ def singular_values(m) -> np.ndarray:
         ) from exc
 
 
-def hermitian_eigenvalues(h, herm_tol: float = HERM_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
+def hermitian_part(h, herm_tol: float = HERM_TOL):
+    """Check and symmetrize a stack of square matrices (the last two axes).
 
-    ``h`` must satisfy ``|h - h^dag|_2 <= herm_tol * |h|_2``; it is then
-    symmetrized as ``(h + h^dag)/2`` before the decomposition, so the result
-    is exactly real (possibly negative).
+    Returns ``(sym, ok, dev, scale)``: the Hermitian parts ``(h + h^dag)/2``,
+    whether ``|h - h^dag|_2 <= herm_tol * |h|_2`` holds, and those two
+    Frobenius norms, each with one entry per matrix.  What a failed check
+    means is left to the caller.
     """
-    h = as_complex_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got {h.shape[0]}x{h.shape[1]}")
-    dev = np.linalg.norm(h - h.conj().T)
-    scale = np.linalg.norm(h)
-    if dev > herm_tol * max(scale, 1e-300):
+    h = np.asarray(h)
+    adj = h.swapaxes(-1, -2).conj()
+    dev = np.linalg.norm(h - adj, axis=(-2, -1))
+    scale = np.linalg.norm(h, axis=(-2, -1))
+    ok = dev <= herm_tol * np.maximum(scale, 1e-300)
+    return (h + adj) / 2.0, ok, dev, scale
+
+
+def first_failure(ok) -> int | None:
+    """Flat index of the first ``False`` in a boolean array, or ``None``."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return None
+    return int(np.flatnonzero(~ok)[0])
+
+
+def hermitian_eigenvalues(h, herm_tol: float = HERM_TOL) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix, or of a stack of them, sorted
+    descending along the last axis.
+
+    Every matrix must satisfy ``|h - h^dag|_2 <= herm_tol * |h|_2``; it is
+    then symmetrized as ``(h + h^dag)/2`` before the decomposition, so the
+    result is exactly real (possibly negative).  A failing stack entry is
+    named by its index.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected square matrices, got an array of shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix contains non-finite entries")
+    sym, ok, dev, scale = hermitian_part(h, herm_tol)
+    i = first_failure(ok)
+    if i is not None:
+        where = f"stack entry {i}: " if h.ndim > 2 else ""
+        dev, scale = dev.flat[i], scale.flat[i]
         raise ValueError(
-            f"matrix is not Hermitian: |h - h^dag|_2 = {dev:.3e} "
+            f"{where}matrix is not Hermitian: |h - h^dag|_2 = {dev:.3e} "
             f"exceeds {herm_tol:.1e} * |h|_2 = {herm_tol * scale:.3e}"
         )
-    sym = (h + h.conj().T) / 2.0
-    return np.linalg.eigvalsh(sym)[::-1]
+    return np.ascontiguousarray(np.linalg.eigvalsh(sym)[..., ::-1])
 
 
 def q_norm(m, q) -> float:

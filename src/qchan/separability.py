@@ -21,29 +21,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundRecord, _record, f_min, g_min, receiver_upper_value, record_dict
-from .channels import Channel
-from .entropy import map_entropy, receiver_entropy
+from .bounds import (
+    CHECK_TOL,
+    TABLE,
+    BoundRecord,
+    bound_columns,
+    column_record,
+    record_dict,
+    table_records,
+)
+from .channels import Channel, ChannelStack
 from .matcore import hermitian_eigenvalues
 
 PPT_RTOL = 1e-9
 REALIGNMENT_TOL = 1e-9
 
+# Table rows of the entropic separability criteria, in report order.
+CRITERIA = tuple(b for b in TABLE if b.separable)
+
 
 def partial_transpose(m, block=None) -> np.ndarray:
-    """Transpose the second tensor factor of a bipartite matrix.
+    """Transpose the second tensor factor of a bipartite matrix, or of each
+    matrix in a stack (the last two axes).
 
     For ``m`` acting on C^n (x) C^n with entries ``m[(k,l),(m,n)]`` the
     result has entries ``m[(k,n),(m,l)]``.
     """
     m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = int(round(math.isqrt(d))) if block is None else int(block)
+    d = m.shape[-1]
+    n = math.isqrt(d) if block is None else int(block)
     if n * n != d:
         raise ValueError(f"matrix side {d} is not a perfect square; pass block")
-    return m.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(d, d)
+    lead = m.shape[:-2]
+    blocks = m.reshape(lead + (n, n, n, n))
+    axes = tuple(range(len(lead)))
+    k = len(lead)
+    return blocks.transpose(axes + (k, k + 3, k + 2, k + 1)).reshape(lead + (d, d))
+
+
+def ppt_stack(stack: ChannelStack) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of each partially transposed ``omega`` and
+    whether it is nonnegative up to ``PPT_RTOL`` times the spectral scale."""
+    if not stack.hermitian.all():
+        raise ValueError("partial-transpose test needs a Hermitian Choi matrix")
+    omega = stack.choi / stack.dim
+    eigs = hermitian_eigenvalues(partial_transpose(omega, block=stack.dim), herm_tol=1e-8)
+    min_eig = eigs[:, -1]
+    scale = np.maximum(np.maximum(np.abs(eigs[:, 0]), np.abs(min_eig)), 1e-300)
+    return min_eig, min_eig >= -PPT_RTOL * scale
 
 
 def ppt_test(ch: Channel) -> tuple[float, bool]:
@@ -53,13 +80,8 @@ def ppt_test(ch: Channel) -> tuple[float, bool]:
     For ``N = 2`` positivity is equivalent to separability of ``omega``;
     for larger dimensions it is only a necessary condition.
     """
-    if ch.choi_eigenvalues is None:
-        raise ValueError("partial-transpose test needs a Hermitian Choi matrix")
-    omega = ch.choi / ch.dim
-    eigs = hermitian_eigenvalues(partial_transpose(omega, block=ch.dim), herm_tol=1e-8)
-    min_eig = float(eigs[-1])
-    scale = max(float(abs(eigs[0])), float(abs(eigs[-1])), 1e-300)
-    return min_eig, bool(min_eig >= -PPT_RTOL * scale)
+    min_eig, ppt = ppt_stack(ch.stack)
+    return float(min_eig[0]), bool(ppt[0])
 
 
 def realignment_test(ch: Channel) -> tuple[float, bool]:
@@ -80,23 +102,7 @@ def separable_criteria(ch: Channel, q) -> list[BoundRecord]:
     separable ``omega``) into the entropy bounds, so violating any one of
     them certifies entanglement.  Requires ``q >= 1``.
     """
-    n = ch.dim
-    s_map = map_entropy(ch, q)
-    s_rec = receiver_entropy(ch, q)
-    return [
-        _record(
-            "separable_map_lower", s_map, 0.25 * f_min(q) * math.log(n), ">=",
-            "separable => S_q_map >= (F_min/4) ln N",
-        ),
-        _record(
-            "separable_receiver_upper", s_rec, receiver_upper_value(float(n), n, q), "<=",
-            "separable => S_q_rec <= S_q((1, 1/(N+1) ...)/N)",
-        ),
-        _record(
-            "separable_ratio", s_map, g_min(q) * s_rec, ">=",
-            "separable => S_q_map >= G_min S_q_rec",
-        ),
-    ]
+    return table_records(ch, q, [b.id for b in CRITERIA])
 
 
 @dataclass(frozen=True)
@@ -121,28 +127,39 @@ class SeparabilityVerdict:
         }
 
 
-def classify_region(ch: Channel, q) -> SeparabilityVerdict:
-    """Entropy-plane region of the channel at Rényi order ``q``.
+def _verdict_columns(stack: ChannelStack, q):
+    """Criteria columns, PPT minima and flags, and regions of a stack."""
+    columns = [bound_columns(stack, q, bound) for bound in CRITERIA]
+    violated = np.zeros(len(stack), dtype=bool)
+    for _, _, slack in columns:
+        violated |= ~(slack >= -CHECK_TOL)
+    min_eig, ppt = ppt_stack(stack)
+    certified = "C" if stack.dim == 2 else "indeterminate"
+    regions = np.where(violated, "A", np.where(ppt, certified, "B"))
+    return columns, min_eig, ppt, regions
+
+
+def classify_regions(stack: ChannelStack, q) -> np.ndarray:
+    """Entropy-plane region of every channel of a stack at Rényi order ``q``.
 
     ``A`` when an entropic criterion is violated (certified entangled),
     ``C`` when ``N = 2`` and the partial transpose stays positive (certified
     separable), ``indeterminate`` for a positive partial transpose at
     ``N >= 3``, and ``B`` otherwise.
     """
-    criteria = tuple(separable_criteria(ch, q))
-    min_eig, ppt = ppt_test(ch)
+    return _verdict_columns(stack, q)[3]
+
+
+def classify_region(ch: Channel, q) -> SeparabilityVerdict:
+    """Entropy-plane region of the channel at Rényi order ``q``; see
+    :func:`classify_regions`."""
+    columns, min_eig, ppt, regions = _verdict_columns(ch.stack, q)
     value, _certificate = realignment_test(ch)
-    if any(not r.satisfied for r in criteria):
-        region = "A"
-    elif ppt:
-        region = "C" if ch.dim == 2 else "indeterminate"
-    else:
-        region = "B"
     return SeparabilityVerdict(
         realignment_value=value,
         realignment_pass=bool(ch.lambda_phi <= ch.dim + REALIGNMENT_TOL),
-        ppt_min_eigenvalue=min_eig,
-        ppt_pass=ppt,
-        region=region,
-        criteria=criteria,
+        ppt_min_eigenvalue=float(min_eig[0]),
+        ppt_pass=bool(ppt[0]),
+        region=str(regions[0]),
+        criteria=tuple(column_record(b, c) for b, c in zip(CRITERIA, columns)),
     )

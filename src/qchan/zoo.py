@@ -11,7 +11,14 @@ import math
 
 import numpy as np
 
-from .channels import Channel, check_state, from_isometry, from_kraus
+from .channels import (
+    Channel,
+    ChannelStack,
+    check_state,
+    from_isometry,
+    from_kraus,
+    isometry_superops,
+)
 from .matcore import as_complex_matrix
 
 PAULI = (
@@ -203,12 +210,27 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     Its columns are distributed like any ``cols`` columns of a Haar unitary,
     at the cost of a ``rows x cols`` QR instead of a ``rows x rows`` one.
     """
+    return haar_isometries(rows, cols, [rng])[0]
+
+
+def haar_isometries(rows: int, cols: int, rngs) -> np.ndarray:
+    """One :func:`haar_isometry` per generator, from one batched QR.
+
+    Each generator makes the same draws as in :func:`haar_isometry`, so
+    entry ``i`` of the ``(B, rows, cols)`` result equals
+    ``haar_isometry(rows, cols, rngs[i])`` bit for bit.
+    """
     if not 1 <= cols <= rows:
         raise ValueError(f"need 1 <= cols <= rows for an isometry, got {rows}x{cols}")
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    g = np.array(
+        [
+            rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            for rng in rngs
+        ]
+    )
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -239,9 +261,32 @@ def random_cptp(dim: int, env_dim: int, rng: np.random.Generator, *, label=None)
     :func:`from_environment` on a Haar unitary (Bruzda et al., arXiv:0804.2361).
     """
     v = haar_isometry(dim * env_dim, dim, rng)
-    return from_isometry(
-        v, dim, env_dim, label=label or f"random_cptp(N={dim},d={env_dim})"
-    )
+    return from_isometry(v, dim, env_dim, label=label or _cptp_label(dim, env_dim))
+
+
+def random_cptp_stack(dim: int, env_dims, rngs, *, index=None):
+    """Channels ``random_cptp(dim, env_dims[i], rngs[i])`` as one stack.
+
+    Returns ``(stack, labels)``.  Each environment dimension gets one
+    batched QR and one batched isometry check, and the whole stack is
+    validated once; every entry equals the :func:`random_cptp` channel of
+    the same generator bit for bit.  Errors name channel ``index[i]`` (by
+    default ``i``).
+    """
+    env_dims = [int(e) for e in env_dims]
+    index = range(len(env_dims)) if index is None else index
+    d = dim * dim
+    superops = np.empty((len(env_dims), d, d), dtype=complex)
+    for env in sorted(set(env_dims)):
+        rows = [i for i, e in enumerate(env_dims) if e == env]
+        v = haar_isometries(dim * env, dim, [rngs[i] for i in rows])
+        superops[rows] = isometry_superops(v, dim, env, index=[index[i] for i in rows])
+    stack = ChannelStack(superops, dim, index=index)
+    return stack, [_cptp_label(dim, env) for env in env_dims]
+
+
+def _cptp_label(dim: int, env_dim: int) -> str:
+    return f"random_cptp(N={dim},d={env_dim})"
 
 
 def random_bistochastic(dim: int, k: int, rng: np.random.Generator, *, label=None) -> Channel:

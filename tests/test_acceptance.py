@@ -22,6 +22,7 @@ from qchan.bounds import (
     spectral_entropy_bounds,
 )
 from qchan.channels import remix_kraus
+from qchan import cli
 from qchan.cli import main
 from qchan.entropy import map_entropy, povm_entropy, receiver_entropy
 from qchan.matcore import q_norm, random_permutation, reorder, reshuffle
@@ -326,8 +327,12 @@ def test_criterion_13_depolarizing_curve():
 
 
 def test_criterion_14_scan_determinism(tmp_path, monkeypatch):
-    def run(name, threads):
-        monkeypatch.setenv("QCHAN_THREADS", threads)
+    default_budget = cli.SCAN_CHUNK_BYTES
+
+    def run(name, rows=None):
+        # rows per chunk, through the byte budget of stacked 4x4 superoperators
+        budget = default_budget if rows is None else rows * 16 * 2**4
+        monkeypatch.setattr(cli, "SCAN_CHUNK_BYTES", budget)
         out = tmp_path / name
         code = main(
             [
@@ -347,8 +352,9 @@ def test_criterion_14_scan_determinism(tmp_path, monkeypatch):
         assert code == 0
         return out.read_bytes()
 
-    first = run("one_a.csv", "1")
-    second = run("one_b.csv", "1")
-    threaded = run("eight.csv", "8")
-    ok = first == second == threaded
-    _verdict(14, "scan output is byte-identical across reruns and thread counts", ok)
+    first = run("default_a.csv")
+    second = run("default_b.csv")
+    single = run("one.csv", 1)
+    seven = run("seven.csv", 7)
+    ok = first == second == single == seven
+    _verdict(14, "scan output is byte-identical across reruns and chunk sizes", ok)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from qchan import cli
 from qchan.cli import SCAN_BASE_COLUMNS, load_channel_spec, main
 
 LN2 = math.log(2.0)
@@ -172,13 +173,16 @@ def _run_scan(tmp_path, name, extra=()):
     return out.read_bytes()
 
 
-def test_scan_is_deterministic_across_thread_counts(tmp_path, monkeypatch):
-    monkeypatch.setenv("QCHAN_THREADS", "1")
-    serial = _run_scan(tmp_path, "serial.csv")
-    monkeypatch.setenv("QCHAN_THREADS", "8")
-    threaded = _run_scan(tmp_path, "threaded.csv")
+def test_scan_is_deterministic_across_chunk_sizes(tmp_path, monkeypatch):
+    default = _run_scan(tmp_path, "default.csv")
     repeat = _run_scan(tmp_path, "repeat.csv")
-    assert serial == threaded == repeat
+    outputs = [default, repeat]
+    for rows in (1, 7):
+        # the budget of `rows` stacked 4x4 complex superoperators (N = 2)
+        monkeypatch.setattr(cli, "SCAN_CHUNK_BYTES", rows * 16 * 2**4)
+        assert cli._chunk_rows(2) == rows
+        outputs.append(_run_scan(tmp_path, f"chunk{rows}.csv"))
+    assert all(out == default for out in outputs)
 
 
 def test_scan_csv_layout(tmp_path):
