@@ -3,7 +3,8 @@
 Every check produces a :class:`BoundRecord` with a signed slack: positive
 slack means the inequality holds with room to spare, slack ``>= -CHECK_TOL``
 counts as satisfied.  :func:`evaluate_all` collects every bound applicable to
-a channel at a given Rényi order into a :class:`BoundReport`.
+a channel at a given Rényi order into a :class:`BoundReport`; :func:`record`
+evaluates one row of :data:`TABLE` by id.
 
 The single-letter symbols used in the formula strings are ``N`` (system
 dimension), ``L`` (trace norm of the superoperator), ``s1`` (its largest
@@ -316,8 +317,13 @@ def receiver_upper_value(lam, n_dim: int, q):
     return float(value) if lam_in.ndim == 0 else value
 
 
-def _always(q: float, interval: bool) -> bool:
+def _any_order(q: float, interval: bool) -> bool:
     return True
+
+
+def _from_one(q: float, interval: bool) -> bool:
+    # the paper states its bounds for q >= 1; F_min and G_min need it
+    return q >= 1.0
 
 
 def _above_one(q: float, interval: bool) -> bool:
@@ -331,7 +337,7 @@ def _near_one(q: float, interval: bool) -> bool:
 
 
 def _interval(q: float, interval: bool) -> bool:
-    return interval
+    return interval and q >= 1.0
 
 
 @dataclass(frozen=True)
@@ -339,9 +345,9 @@ class Bound:
     """One row of the bound table: ``lhs relation rhs`` for each channel of a
     stack at Rényi order ``q``.
 
-    ``applies(q, interval)`` says whether the row is part of the report at
-    order ``q`` for a stack of interval maps (or not); ``lhs`` and ``rhs``
-    map ``(stack, q)`` to one value per channel (or a constant).
+    ``applies(q, interval)`` says whether the row is defined at order ``q``
+    for a stack of interval maps (or of any maps); ``lhs`` and ``rhs`` map
+    ``(stack, q)`` to one value per channel (or a constant).
     ``separable`` marks the criteria that every entanglement-breaking
     channel satisfies, which feed the region classifier rather than the
     bound report.
@@ -376,22 +382,22 @@ def _output_rank(s: ChannelStack) -> np.ndarray:
 
 TABLE: tuple[Bound, ...] = (
     Bound(
-        "receiver_self_lower", ">=", _always, _s_rec,
+        "receiver_self_lower", ">=", _from_one, _s_rec,
         lambda s, q: _spectral_lower(s.lambda_phi, s.sigma1, q),
         "ln(L/s1) <= S_q_rec",
     ),
     Bound(
-        "map_self_lower", ">=", _always, _s_map,
+        "map_self_lower", ">=", _from_one, _s_map,
         lambda s, q: _spectral_lower(s.dim, s.d1, q),
         "ln(N/d1) <= S_q_map",
     ),
     Bound(
-        "receiver_cross_lower", ">=", _always, _s_rec,
+        "receiver_cross_lower", ">=", _from_one, _s_rec,
         lambda s, q: _reordered_lower(s.lambda_phi, s.d1, s.dim, q),
         "F_min ln(L/sqrt(N d1)) <= S_q_rec",
     ),
     Bound(
-        "map_cross_lower", ">=", _always, _s_map,
+        "map_cross_lower", ">=", _from_one, _s_map,
         lambda s, q: _reordered_lower(s.dim, s.sigma1, s.lambda_phi, q),
         "F_min ln(N/sqrt(s1 L)) <= S_q_map",
     ),
@@ -415,37 +421,41 @@ TABLE: tuple[Bound, ...] = (
         lambda s, q: _reordered_upper(s.dim, s.sigma1, q),
         "S_q_map <= F_max ln(N/s1)",
     ),
+    # bistochastic channels have t1 = 1/N, which forces s1 = 1
     Bound(
-        "sigma1_vs_tau1", "<=", _always,
+        "sigma1_vs_tau1", "<=", _from_one,
         lambda s, q: s.sigma1,
         lambda s, q: np.sqrt(s.dim * s.tau1),
         "s1 <= sqrt(N t1) <= sqrt(N)",
     ),
+    # t1 = 1/N for bistochastic channels turns the bound into F_min ln N
     Bound(
-        "entropy_sum_lower", ">=", _always,
+        "entropy_sum_lower", ">=", _from_one,
         lambda s, q: _s_map(s, q) + _s_rec(s, q),
         lambda s, q: 0.5 * f_min(q) * np.log(s.dim / s.tau1),
         "S_q_map + S_q_rec >= (F_min/2) ln(N/t1)",
     ),
     Bound(
-        "receiver_majorization_upper", "<=", _always, _s_rec,
+        "receiver_majorization_upper", "<=", _any_order, _s_rec,
         lambda s, q: receiver_upper_value(s.lambda_phi, s.dim, q),
         "S_q_rec <= S_q((1, (L-1)/(N^2-1) ...)/L)",
     ),
+    # the superoperator and its reshuffle have equal Hilbert-Schmidt norms
     Bound(
-        "collision_identity", "==", _always,
+        "collision_identity", "==", _from_one,
         lambda s, q: _s_map(s, 2.0),
         lambda s, q: _s_rec(s, 2.0) + 2.0 * np.log(s.dim) - 2.0 * np.log(s.lambda_phi),
         "S_2_map == S_2_rec + 2 ln(N/L)",
     ),
+    # tight on the mixture 1/(N+1) identity + N/(N+1) full depolarizing
     Bound(
-        "collision_sum_upper", "<=", _always,
+        "collision_sum_upper", "<=", _from_one,
         lambda s, q: _s_map(s, 2.0) + _s_rec(s, 2.0),
         lambda s, q: 2.0 * np.log(s.dim * (s.dim + 1) / 2.0),
         "S_2_map + S_2_rec <= 2 ln(N(N+1)/2)",
     ),
     Bound(
-        "map_from_receiver_lower", ">=", _always, _s_map,
+        "map_from_receiver_lower", ">=", _from_one, _s_map,
         lambda s, q: f_min(q) * np.log(s.dim / s.lambda_phi) + g_min(q) * _s_rec(s, q),
         "S_q_map >= F_min ln(N/L) + G_min S_q_rec",
     ),
@@ -466,30 +476,31 @@ TABLE: tuple[Bound, ...] = (
         lambda s, q: np.log(s.dim) - _s_out(s, q),
         "ln N - S(Phi(1/N)) <= S_map",
     ),
+    # constant channels rho -> xi saturate it
     Bound(
-        "map_output_upper", "<=", _always, _s_map,
+        "map_output_upper", "<=", _any_order, _s_map,
         lambda s, q: np.log(s.dim) + _s_out(s, q),
         "S_q_map <= ln N + S_q(Phi(1/N))",
     ),
     Bound(
-        "map_rank_lower", ">=", _always, _s_map,
+        "map_rank_lower", ">=", _any_order, _s_map,
         lambda s, q: np.log(s.dim) - np.log(np.maximum(_output_rank(s), 1)),
         "S_q_map >= ln N - ln rank(Phi(1/N))",
     ),
     Bound(
-        "separable_map_lower", ">=", _always, _s_map,
+        "separable_map_lower", ">=", _from_one, _s_map,
         lambda s, q: 0.25 * f_min(q) * np.log(s.dim),
         "separable => S_q_map >= (F_min/4) ln N",
         separable=True,
     ),
     Bound(
-        "separable_receiver_upper", "<=", _always, _s_rec,
+        "separable_receiver_upper", "<=", _from_one, _s_rec,
         lambda s, q: receiver_upper_value(float(s.dim), s.dim, q),
         "separable => S_q_rec <= S_q((1, 1/(N+1) ...)/N)",
         separable=True,
     ),
     Bound(
-        "separable_ratio", ">=", _always, _s_map,
+        "separable_ratio", ">=", _from_one, _s_map,
         lambda s, q: g_min(q) * _s_rec(s, q),
         "separable => S_q_map >= G_min S_q_rec",
         separable=True,
@@ -523,100 +534,17 @@ def column_record(bound: Bound, columns, i: int = 0) -> BoundRecord:
     return _record(bound.id, lhs[i], rhs[i], bound.relation, bound.citation, slack[i])
 
 
-def table_records(ch: Channel, q, ids) -> list[BoundRecord]:
-    """Records of the named table rows that apply at ``q``, in the order given."""
-    by_id = {b.id: b for b in TABLE}
-    rows = [by_id[rid] for rid in ids]
-    return [column_record(b, bound_columns(ch.stack, q, b)) for b in rows if b.applies(q, True)]
+def record(ch: Channel, bound_id: str, q) -> BoundRecord:
+    """Record of the table row ``bound_id`` for ``ch`` at Rényi order ``q``.
 
-
-# ---------------------------------------------------------------------------
-# channel-level bounds, by name
-
-
-def channel_entropy_bounds(ch: Channel, q) -> list[BoundRecord]:
-    """Individual ranges for the receiver and map entropies of a channel.
-
-    Four bound pairs: each entropy is bounded by its own matrix's extreme
-    singular values (``_self``) and, because the superoperator and the Choi
-    matrix are entry reorderings of each other, by the partner matrix's
-    extremes (``_cross``).  Upper bounds drop out at ``q = 1`` where their
-    coefficients diverge.
+    Raises ``KeyError`` for an unknown id and ``ValueError`` when the row
+    does not apply at ``q`` (its ``applies(q, True)`` is false).
     """
-    return table_records(
-        ch,
-        _check_order(q),
-        (
-            "receiver_self_lower",
-            "map_self_lower",
-            "receiver_cross_lower",
-            "map_cross_lower",
-            "receiver_self_upper",
-            "map_self_upper",
-            "receiver_cross_upper",
-            "map_cross_upper",
-        ),
-    )
-
-
-def sigma1_bound(ch: Channel) -> BoundRecord:
-    """``sigma1 <= sqrt(N tau1)``; for bistochastic channels this forces 1."""
-    return table_records(ch, 1.0, ("sigma1_vs_tau1",))[0]
-
-
-def entropy_sum_lower(ch: Channel, q) -> BoundRecord:
-    """Trade-off ``S_q_map + S_q_rec >= (F_min/2) ln(N/tau1)``.
-
-    For bistochastic channels ``tau1 = 1/N`` makes the right side
-    ``F_min ln N``; in general ``tau1 <= 1`` gives at least
-    ``(F_min/2) ln N``, so the largest output eigenvalue interpolates
-    between the two regimes.
-    """
-    return table_records(ch, _check_order(q), ("entropy_sum_lower",))[0]
-
-
-def receiver_entropy_upper(ch: Channel, q) -> BoundRecord:
-    """``S_q_rec`` cannot exceed the majorization bound set by ``L`` alone."""
-    return table_records(ch, renyi_order(q), ("receiver_majorization_upper",))[0]
-
-
-def collision_identity(ch: Channel) -> BoundRecord:
-    """Exact identity at ``q = 2``: ``S_2_map = S_2_rec + 2 ln N - 2 ln L``.
-
-    It follows from the equality of Hilbert-Schmidt norms of the
-    superoperator and its reshuffle.
-    """
-    return table_records(ch, 2.0, ("collision_identity",))[0]
-
-
-def collision_sum_upper(ch: Channel) -> BoundRecord:
-    """``S_2_map + S_2_rec <= 2 ln(N(N+1)/2)``, tight on the mixture
-    ``1/(N+1) id + N/(N+1) full-depolarizing``."""
-    return table_records(ch, 2.0, ("collision_sum_upper",))[0]
-
-
-def map_entropy_lower(ch: Channel, q) -> BoundRecord:
-    """``S_q_map >= F_min ln(N/L) + G_min S_q_rec`` for ``q in [1, inf]``."""
-    return table_records(ch, _check_order(q), ("map_from_receiver_lower",))[0]
-
-
-def interval_bounds(ch: Channel) -> list[BoundRecord]:
-    """For channels mapping the state set onto a segment:
-    ``S_rec <= ln N <= S_map`` at ``q = 1``."""
-    return table_records(ch, 1.0, ("interval_receiver_upper", "interval_map_lower"))
-
-
-def output_entropy_sandwich(ch: Channel, q) -> list[BoundRecord]:
-    """Estimate ``S_q_map`` from the image of the maximally mixed state.
-
-    ``S_q_map <= ln N + S_q(Phi(1/N))`` for any order; at ``q = 1``
-    additionally ``S_map >= ln N - S(Phi(1/N))``, and for any order
-    ``S_q_map >= ln N - ln rank(Phi(1/N))``.  Constant channels
-    ``rho -> xi`` saturate the upper branch.
-    """
-    return table_records(
-        ch, renyi_order(q), ("map_output_lower", "map_output_upper", "map_rank_lower")
-    )
+    q = renyi_order(q)
+    bound = {b.id: b for b in TABLE}[bound_id]
+    if not bound.applies(q, True):
+        raise ValueError(f"bound {bound_id} does not apply at q = {q}")
+    return column_record(bound, bound_columns(ch.stack, q, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +622,8 @@ def evaluate_all(ch: Channel, q) -> BoundReport:
     """Run every applicable bound for ``ch`` at order ``q``.
 
     Individual failures (e.g. undefined quantities on a permissively built
-    map) become ``<id>_error`` records instead of aborting the report.
+    map) become ``<id>_error`` records, and failing aggregates
+    ``<key>_error`` messages, instead of aborting the report.
     The interval-specific checks run only when the channel was constructed
     as an interval map.  Records are sorted by id.
     """
@@ -721,8 +650,8 @@ def evaluate_all(ch: Channel, q) -> BoundReport:
     for key in ("sigma1", "tau1", "d1", "lambda_phi"):
         try:
             aggregates[key] = getattr(ch, key)
-        except Exception:  # noqa: BLE001
-            aggregates[key] = math.nan
+        except Exception as exc:  # noqa: BLE001 - reported like a failing record
+            aggregates[f"{key}_error"] = f"{type(exc).__name__}: {exc}"
     return BoundReport(
         channel_label=ch.label or "channel",
         q=q,

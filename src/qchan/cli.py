@@ -309,11 +309,15 @@ def cmd_analyze(args) -> int:
 # scan
 
 
+def _env_dim(dim: int, index: int) -> int:
+    """Environment dimension of scan row ``index`` of ``random_cptp``."""
+    return dim if index % 2 == 0 else dim * dim
+
+
 def _ensemble_channel(ensemble: str, dim: int, seed: int, index: int, n: int) -> Channel:
     rng = zoo.rng_substream(seed, index)
     if ensemble == "random_cptp":
-        env_dim = dim if index % 2 == 0 else dim * dim
-        return zoo.random_cptp(dim, env_dim, rng)
+        return zoo.random_cptp(dim, _env_dim(dim, index), rng)
     if ensemble == "random_bistochastic":
         return zoo.random_bistochastic(dim, index % 4 + 1, rng)
     if ensemble == "depolarizing":
@@ -341,7 +345,7 @@ def _sample_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int):
     if ensemble == "random_cptp":
         stack, labels = zoo.random_cptp_stack(
             dim,
-            [dim if i % 2 == 0 else dim * dim for i in indices],
+            [_env_dim(dim, i) for i in indices],
             [zoo.rng_substream(seed, i) for i in indices],
             index=indices,
         )
@@ -476,9 +480,9 @@ class _CheckResult:
 
     def add(self, slack: float, reproducer: str, tol: float = 0.0) -> None:
         self.checks += 1
-        if slack < self.worst_slack:
+        if slack < self.worst_slack or math.isnan(slack):
             self.worst_slack = slack
-        if slack < -tol:
+        if not slack >= -tol:  # a nan slack fails too
             self.failures.append(reproducer)
 
     def line(self) -> str:
@@ -566,7 +570,9 @@ def _verify_separability(n: int, seed: int) -> list[_CheckResult]:
         if not ppt:
             continue
         value, _ = separability.realignment_test(ch)
-        realign.add(1.0 + 1e-9 - value, f"seed={seed},index={i},value={value:.12g}")
+        realign.add(
+            1.0 + separability.REALIGNMENT_TOL - value, f"seed={seed},index={i},value={value:.12g}"
+        )
         for q in (1.5, 2.0):
             for r in separability.separable_criteria(ch, q):
                 soundness.add(r.slack, f"seed={seed},index={i},q={q},id={r.id}", bounds.CHECK_TOL)
@@ -656,7 +662,7 @@ def cmd_verify(args) -> int:
         control = _CheckResult("verify.negative_control")
         report = bounds.evaluate_all(bad, 2.0)
         for r in report.records:
-            control.add(r.slack if math.isfinite(r.slack) else -1.0, f"injected,id={r.id}", bounds.CHECK_TOL)
+            control.add(r.slack, f"injected,id={r.id}", bounds.CHECK_TOL)
         results.append(control)
     for res in results:
         print(res.line())

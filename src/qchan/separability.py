@@ -27,8 +27,8 @@ from .bounds import (
     BoundRecord,
     bound_columns,
     column_record,
+    record,
     record_dict,
-    table_records,
 )
 from .channels import Channel, ChannelStack
 from .matcore import hermitian_eigenvalues
@@ -102,7 +102,7 @@ def separable_criteria(ch: Channel, q) -> list[BoundRecord]:
     separable ``omega``) into the entropy bounds, so violating any one of
     them certifies entanglement.  Requires ``q >= 1``.
     """
-    return table_records(ch, q, [b.id for b in CRITERIA])
+    return [record(ch, b.id, q) for b in CRITERIA]
 
 
 @dataclass(frozen=True)
@@ -154,10 +154,10 @@ def classify_region(ch: Channel, q) -> SeparabilityVerdict:
     """Entropy-plane region of the channel at Rényi order ``q``; see
     :func:`classify_regions`."""
     columns, min_eig, ppt, regions = _verdict_columns(ch.stack, q)
-    value, _certificate = realignment_test(ch)
+    value, certified = realignment_test(ch)
     return SeparabilityVerdict(
         realignment_value=value,
-        realignment_pass=bool(ch.lambda_phi <= ch.dim + REALIGNMENT_TOL),
+        realignment_pass=not certified,
         ppt_min_eigenvalue=float(min_eig[0]),
         ppt_pass=bool(ppt[0]),
         region=str(regions[0]),

@@ -10,13 +10,10 @@ import time
 import numpy as np
 
 from qchan.bounds import (
-    collision_sum_upper,
-    entropy_sum_lower,
+    applicable_bound_ids,
     f_min,
-    interval_bounds,
-    output_entropy_sandwich,
-    receiver_entropy_upper,
     receiver_upper_value,
+    record,
     reordered_entropy_bounds,
     sigma1_variational,
     spectral_entropy_bounds,
@@ -95,10 +92,10 @@ def test_criterion_03_saturation_witnesses():
         maximally_depolarizing(2),
         spontaneous_emission(),
     ):
-        ok = ok and abs(entropy_sum_lower(ch, 1.0).slack) <= 1e-9
-    record = collision_sum_upper(depolarizing(2, 1.0 / 3.0))
-    ok = ok and abs(record.lhs - 2.0 * math.log(3.0)) <= 1e-9
-    ok = ok and abs(record.slack) <= 1e-9
+        ok = ok and abs(record(ch, "entropy_sum_lower", 1.0).slack) <= 1e-9
+    extremal = record(depolarizing(2, 1.0 / 3.0), "collision_sum_upper", 2.0)
+    ok = ok and abs(extremal.lhs - 2.0 * math.log(3.0)) <= 1e-9
+    ok = ok and abs(extremal.slack) <= 1e-9
     _verdict(3, "named channels saturate the sum bounds (q=1 family and q=2 extremal)", ok)
 
 
@@ -149,7 +146,8 @@ def test_criterion_06_receiver_majorization_upper(cptp_ensemble, bistochastic_en
         for q in (1.0, 2.0, 3.0):
             worst = min(worst, receiver_upper_value(ch.lambda_phi, 2, q) - receiver_entropy(ch, q))
     ident_dev = max(
-        abs(receiver_entropy_upper(identity_channel(2), q).slack) for q in (1.0, 2.0, 3.0)
+        abs(record(identity_channel(2), "receiver_majorization_upper", q).slack)
+        for q in (1.0, 2.0, 3.0)
     )
     ok = worst >= -1e-8 and ident_dev <= 1e-9
     _verdict(
@@ -222,8 +220,8 @@ def test_criterion_09_interval_channels():
     worst = math.inf
     for i in range(100):
         ch = random_interval_channel(rng_substream(91, i), pure=(i % 2 == 0))
-        for r in interval_bounds(ch):
-            worst = min(worst, r.slack)
+        for rid in ("interval_receiver_upper", "interval_map_lower"):
+            worst = min(worst, record(ch, rid, 1.0).slack)
     _verdict(9, f"segment-image channels: S_rec <= ln2 <= S_map (worst slack {worst:.2e})", worst >= -1e-9)
 
 
@@ -280,10 +278,12 @@ def test_criterion_11_reshuffle_invariant_family():
 
 def test_criterion_12_output_sandwich(cptp_ensemble, bistochastic_ensemble):
     worst = math.inf
+    sandwich = {"map_output_lower", "map_output_upper", "map_rank_lower"}
+    ids = {q: sandwich.intersection(applicable_bound_ids(q)) for q in (1.0, 2.0)}
     for ch in cptp_ensemble + bistochastic_ensemble:
-        for q in (1.0, 2.0):
-            for r in output_entropy_sandwich(ch, q):
-                worst = min(worst, r.slack)
+        for q, q_ids in ids.items():
+            for rid in q_ids:
+                worst = min(worst, record(ch, rid, q).slack)
     pure_dev = 0.0
     for i, n in enumerate((2, 3, 4) * 7):
         xi = random_pure_state(n, rng_substream(121, i))

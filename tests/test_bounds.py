@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,28 +7,22 @@ import pytest
 
 from qchan.bounds import (
     CHECK_TOL,
+    TABLE,
     applicable_bound_ids,
-    channel_entropy_bounds,
-    collision_identity,
-    collision_sum_upper,
-    entropy_sum_lower,
     evaluate_all,
     f_max,
     f_min,
     g_min,
-    interval_bounds,
-    map_entropy_lower,
-    output_entropy_sandwich,
-    receiver_entropy_upper,
     receiver_upper_value,
+    record,
     reordered_entropy_bounds,
-    sigma1_bound,
     sigma1_variational,
     spectral_entropy_bounds,
 )
 from qchan.channels import ValidationError, from_superoperator
 from qchan.entropy import map_entropy, output_entropy, receiver_entropy, renyi
 from qchan.matcore import reshuffle_permutation
+from qchan.separability import classify_region
 from qchan.zoo import (
     coarse_graining,
     complete_contraction,
@@ -38,6 +33,7 @@ from qchan.zoo import (
     random_bistochastic,
     random_cptp,
     random_density,
+    random_interval_channel,
     random_pauli_channel,
     random_reshuffle_invariant,
     rng_stream,
@@ -46,6 +42,26 @@ from qchan.zoo import (
 )
 
 LN2 = math.log(2.0)
+
+# Table rows that bound each entropy by its own and its partner matrix's
+# extreme singular values, and the rows that use the output state Phi(1/N).
+RANGE_IDS = (
+    "receiver_self_lower",
+    "map_self_lower",
+    "receiver_cross_lower",
+    "map_cross_lower",
+    "receiver_self_upper",
+    "map_self_upper",
+    "receiver_cross_upper",
+    "map_cross_upper",
+)
+SANDWICH_IDS = ("map_output_lower", "map_output_upper", "map_rank_lower")
+INTERVAL_IDS = ("interval_receiver_upper", "interval_map_lower")
+
+
+def _report_ids(ids, q):
+    """The ids of ``ids`` that the bound report carries at order ``q``."""
+    return [rid for rid in applicable_bound_ids(q) if rid in ids]
 
 
 def _random_channel(i):
@@ -156,13 +172,16 @@ def test_reordered_entropy_bounds_hold_for_reshuffle():
 
 def test_channel_entropy_bounds_ids_by_order():
     ch = depolarizing(2, 0.4)
-    assert [r.id for r in channel_entropy_bounds(ch, 1.0)] == [
-        "receiver_self_lower",
+    assert _report_ids(RANGE_IDS, 1.0) == [
+        "map_cross_lower",
         "map_self_lower",
         "receiver_cross_lower",
-        "map_cross_lower",
+        "receiver_self_lower",
     ]
-    ids2 = {r.id for r in channel_entropy_bounds(ch, 2.0)}
+    for rid in RANGE_IDS[4:]:  # q/(q-1) and F_max diverge at q = 1
+        with pytest.raises(ValueError, match=rid):
+            record(ch, rid, 1.0)
+    ids2 = set(_report_ids(RANGE_IDS, 2.0))
     assert ids2 == {
         "receiver_self_lower",
         "map_self_lower",
@@ -179,7 +198,7 @@ def test_channel_entropy_bounds_tight_at_infinite_order():
     # at q = inf the self-bounds collapse to exact equalities
     for i in range(10):
         ch = _random_channel(i)
-        recs = {r.id: r for r in channel_entropy_bounds(ch, math.inf)}
+        recs = {rid: record(ch, rid, math.inf) for rid in RANGE_IDS}
         assert abs(recs["receiver_self_lower"].slack) < 1e-10
         assert abs(recs["receiver_self_upper"].slack) < 1e-10
         assert abs(recs["map_self_lower"].slack) < 1e-10
@@ -190,19 +209,20 @@ def test_channel_entropy_bounds_random_sweep():
     for i in range(80):
         ch = _random_channel(i)
         for q in (1.0, 1.5, 2.0, 4.0, math.inf):
-            for r in channel_entropy_bounds(ch, q):
+            for rid in _report_ids(RANGE_IDS, q):
+                r = record(ch, rid, q)
                 assert r.satisfied, (i, q, r)
                 assert r.slack >= -CHECK_TOL
 
 
 def test_sigma1_bound_saturations():
-    r = sigma1_bound(spontaneous_emission())
+    r = record(spontaneous_emission(), "sigma1_vs_tau1", 1.0)
     assert abs(r.lhs - math.sqrt(2.0)) < 1e-12
     assert abs(r.slack) < 1e-12
-    r = sigma1_bound(identity_channel(2))
+    r = record(identity_channel(2), "sigma1_vs_tau1", 1.0)
     assert abs(r.slack) < 1e-12  # sigma1 = 1 = sqrt(2 * 1/2)
     for i in range(30):
-        assert sigma1_bound(_random_channel(i)).satisfied
+        assert record(_random_channel(i), "sigma1_vs_tau1", 1.0).satisfied
 
 
 def test_entropy_sum_lower_saturations_at_q1():
@@ -214,7 +234,7 @@ def test_entropy_sum_lower_saturations_at_q1():
         identity_channel(3),
         coarse_graining(4),
     ):
-        r = entropy_sum_lower(ch, 1.0)
+        r = record(ch, "entropy_sum_lower", 1.0)
         assert r.relation == ">="
         assert abs(r.slack) < 1e-12, (ch.label, r)
 
@@ -223,7 +243,7 @@ def test_entropy_sum_lower_random_sweep():
     for i in range(60):
         ch = _random_channel(i)
         for q in (1.0, 2.0, 3.0, math.inf):
-            assert entropy_sum_lower(ch, q).satisfied
+            assert record(ch, "entropy_sum_lower", q).satisfied
 
 
 def test_receiver_upper_value_limits():
@@ -231,7 +251,7 @@ def test_receiver_upper_value_limits():
     for n in (2, 3):
         ch = identity_channel(n)
         for q in (1.0, 2.0, 7.0, math.inf):
-            r = receiver_entropy_upper(ch, q)
+            r = record(ch, "receiver_majorization_upper", q)
             assert abs(r.slack) < 1e-12, (n, q, r)
     # q -> 1 window agrees with the nearby generic branch
     near = receiver_upper_value(2.5, 2, 1.0 + 5e-7)
@@ -261,12 +281,12 @@ def test_receiver_upper_random_sweep():
     for i in range(60):
         ch = _random_channel(i)
         for q in (0.5, 1.0, 2.0, 5.0, math.inf):
-            assert receiver_entropy_upper(ch, q).satisfied
+            assert record(ch, "receiver_majorization_upper", q).satisfied
 
 
 def test_collision_identity_on_random_channels():
     for i in range(200):
-        r = collision_identity(_random_channel(i))
+        r = record(_random_channel(i), "collision_identity", 2.0)
         assert r.relation == "=="
         assert r.slack >= -1e-10, (i, r)
 
@@ -277,23 +297,23 @@ def test_collision_identity_exact_for_reshuffle_invariant():
         ch = random_reshuffle_invariant(rng_substream(64, i))
         for q in (1.0, 2.0, 3.0):
             assert abs(map_entropy(ch, q) - receiver_entropy(ch, q)) < 1e-10
-        assert collision_identity(ch).slack >= -1e-10
+        assert record(ch, "collision_identity", 2.0).slack >= -1e-10
 
 
 def test_collision_sum_upper_saturating_mixture():
     # alpha = 1/(N+1) mixes identity and full depolarizing into the extremal point
     for n in (2, 3, 4):
-        r = collision_sum_upper(depolarizing(n, 1.0 / (n + 1)))
+        r = record(depolarizing(n, 1.0 / (n + 1)), "collision_sum_upper", 2.0)
         assert abs(r.rhs - 2.0 * math.log(n * (n + 1) / 2.0)) < 1e-12
         assert abs(r.slack) < 1e-12, (n, r)
     for i in range(60):
-        assert collision_sum_upper(_random_channel(i)).satisfied
+        assert record(_random_channel(i), "collision_sum_upper", 2.0).satisfied
 
 
 def test_map_entropy_lower_saturated_at_collision_order():
     # at q = 2 the bound coincides with the collision identity: slack is zero
     for i in range(50):
-        r = map_entropy_lower(_random_channel(i), 2.0)
+        r = record(_random_channel(i), "map_from_receiver_lower", 2.0)
         assert abs(r.slack) < 1e-9, (i, r)
 
 
@@ -301,18 +321,18 @@ def test_map_entropy_lower_random_sweep():
     for i in range(50):
         ch = _random_channel(i)
         for q in (1.0, 1.5, 3.0, math.inf):
-            assert map_entropy_lower(ch, q).satisfied
+            assert record(ch, "map_from_receiver_lower", q).satisfied
 
 
 def test_interval_bounds_values():
     ch = interval_channel(1.0, 0.0)  # orthogonal endpoints
-    recs = {r.id: r for r in interval_bounds(ch)}
+    recs = {rid: record(ch, rid, 1.0) for rid in INTERVAL_IDS}
     assert abs(recs["interval_receiver_upper"].slack) < 1e-12
     assert abs(recs["interval_map_lower"].slack) < 1e-12
     ch = interval_channel(0.4, 0.9, 0.3, 2.0)
-    for r in interval_bounds(ch):
-        assert r.satisfied
-    assert interval_bounds(ch)[0].slack > 1e-3  # overlapping endpoints: strict
+    for rid in INTERVAL_IDS:
+        assert record(ch, rid, 1.0).satisfied
+    assert record(ch, "interval_receiver_upper", 1.0).slack > 1e-3  # overlapping endpoints: strict
 
 
 def test_output_entropy_sandwich_constant_channels():
@@ -321,7 +341,7 @@ def test_output_entropy_sandwich_constant_channels():
         xi = random_density(n, rng)
         ch = complete_contraction(xi)
         for q in (1.0, 2.0):
-            recs = {r.id: r for r in output_entropy_sandwich(ch, q)}
+            recs = {rid: record(ch, rid, q) for rid in _report_ids(SANDWICH_IDS, q)}
             up = recs["map_output_upper"]
             assert abs(up.slack) < 1e-9, (n, q, up)
             assert abs(map_entropy(ch, q) - math.log(n) - output_entropy(ch, q)) < 1e-9
@@ -331,27 +351,81 @@ def test_output_entropy_sandwich_constant_channels():
 
 
 def test_output_entropy_sandwich_identity_channel():
-    recs = {r.id: r for r in output_entropy_sandwich(identity_channel(2), 1.0)}
+    recs = {rid: record(identity_channel(2), rid, 1.0) for rid in SANDWICH_IDS}
     assert abs(recs["map_output_lower"].slack) < 1e-12  # 0 == ln2 - ln2
     assert abs(recs["map_rank_lower"].slack) < 1e-12
     assert abs(recs["map_output_upper"].rhs - 2.0 * LN2) < 1e-12
 
 
 def test_output_entropy_sandwich_orders():
-    ids1 = [r.id for r in output_entropy_sandwich(depolarizing(2, 0.3), 1.0)]
+    ids1 = _report_ids(SANDWICH_IDS, 1.0)
     assert ids1 == ["map_output_lower", "map_output_upper", "map_rank_lower"]
-    ids2 = [r.id for r in output_entropy_sandwich(depolarizing(2, 0.3), 2.0)]
+    ids2 = _report_ids(SANDWICH_IDS, 2.0)
     assert ids2 == ["map_output_upper", "map_rank_lower"]
     with pytest.raises(ValueError):
-        output_entropy_sandwich(depolarizing(2, 0.3), -1.0)
+        record(depolarizing(2, 0.3), "map_output_upper", -1.0)
+    with pytest.raises(ValueError, match="map_output_lower"):
+        record(depolarizing(2, 0.3), "map_output_lower", 2.0)
 
 
 def test_output_entropy_sandwich_random_sweep():
     for i in range(40):
         ch = _random_channel(i)
         for q in (0.0, 1.0, 2.0, math.inf):
-            for r in output_entropy_sandwich(ch, q):
+            for rid in SANDWICH_IDS if q == 1.0 else SANDWICH_IDS[1:]:
+                r = record(ch, rid, q)
                 assert r.satisfied, (i, q, r)
+
+
+# ---------------------------------------------------------------------------
+# reading the table by id
+
+# Orders on both sides of every predicate edge: 1 and the Shannon window.
+TABLE_ORDERS = (0.0, 0.5, 1.0 - 5e-7, 1.0, 1.0 + 5e-7, 1.5, 2.0, math.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def _table_channels():
+    return (
+        random_interval_channel(rng_substream(66, 0)),
+        random_cptp(3, 9, rng_substream(66, 1)),
+        random_cptp(8, 8, rng_substream(66, 2)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _report_records(i, q):
+    """Records of table channel ``i`` from the bound report and the region
+    classifier, by id (none below q = 1, where both reject the order)."""
+    if q < 1.0:
+        return {}
+    ch = _table_channels()[i]
+    recs = {r.id: r for r in evaluate_all(ch, q).records}
+    recs.update((r.id, r) for r in classify_region(ch, q).criteria)
+    return recs
+
+
+@pytest.mark.parametrize("q", TABLE_ORDERS)
+@pytest.mark.parametrize("bound", TABLE, ids=lambda b: b.id)
+def test_record_matches_the_report_and_the_row_predicate(bound, q):
+    for i, ch in enumerate(_table_channels()):
+        if not bound.applies(q, True):
+            with pytest.raises(ValueError, match=bound.id):
+                record(ch, bound.id, q)
+            continue
+        rec = record(ch, bound.id, q)
+        assert rec.id == bound.id and math.isfinite(rec.slack)
+        if bound.id in _report_records(i, q):
+            assert repr(rec) == repr(_report_records(i, q)[bound.id])  # bit for bit
+
+
+def test_record_rejects_unknown_ids_and_orders():
+    ch = depolarizing(2, 0.3)
+    with pytest.raises(KeyError):
+        record(ch, "no_such_bound", 2.0)
+    for q in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            record(ch, "map_output_upper", q)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +470,16 @@ def test_evaluate_all_flags_invalid_map():
     report = evaluate_all(bad, 2.0)
     assert not report.all_satisfied
     assert not report.record("collision_identity").satisfied
+
+
+def test_evaluate_all_reports_a_failing_aggregate():
+    # a permissive map whose Choi matrix is not Hermitian has no d1
+    s = np.eye(4, dtype=complex)
+    s[1, 2] = 0.5
+    agg = evaluate_all(from_superoperator(s, permissive=True), 2.0).aggregates
+    assert "d1" not in agg
+    assert agg["d1_error"].startswith("ValidationError: ")
+    assert all(isinstance(v, str) or math.isfinite(v) for v in agg.values())
 
 
 def test_evaluate_all_random_sweep():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qchan import cli
+from qchan import bounds, cli
 from qchan.cli import SCAN_BASE_COLUMNS, load_channel_spec, main
 
 LN2 = math.log(2.0)
@@ -353,6 +354,30 @@ def test_verify_inject_invalid_is_caught(capsys):
     out = capsys.readouterr().out
     assert "FAIL verify.negative_control" in out
     assert "reproducer=injected" in out
+
+
+def test_verify_check_fails_on_a_nan_slack():
+    check = cli._CheckResult("planted")
+    check.add(0.5, "finite")
+    check.add(math.nan, "nan-slack", 1e-8)
+    check.add(0.25, "after")
+    assert check.failures == ["nan-slack"]
+    assert check.line() == "FAIL planted checks=3 worst_slack=nan reproducer=nan-slack"
+
+
+def test_verify_fails_on_an_error_record(capsys, monkeypatch):
+    # an evaluate_all error record carries a nan slack; it must fail the suite
+    def boom(stack, q):
+        raise FloatingPointError("planted failure")
+
+    table = tuple(
+        dataclasses.replace(b, rhs=boom) if b.id == "map_rank_lower" else b for b in bounds.TABLE
+    )
+    monkeypatch.setattr(bounds, "TABLE", table)
+    assert main(["verify", "--suite", "bounds", "--n", "2", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL bounds.report_all_orders" in out
+    assert "id=map_rank_lower_error" in out
 
 
 def test_verify_unknown_suite(capsys):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qchan.channels import from_superoperator
+from qchan.channels import Channel, from_superoperator
 from qchan.separability import (
     PPT_RTOL,
+    REALIGNMENT_TOL,
     classify_region,
     partial_transpose,
     ppt_test,
@@ -178,9 +179,19 @@ def test_verdict_invariants_over_random_channels():
             assert v.ppt_pass
         if v.region == "B":
             assert not v.ppt_pass and not violated
-        assert v.realignment_pass == (ch.lambda_phi <= ch.dim + 1e-9)
+        assert v.realignment_pass == (ch.lambda_phi / ch.dim <= 1.0 + REALIGNMENT_TOL)
         assert len(v.criteria) == 3
     assert seen == {"A", "B", "C"}
+
+
+def test_realignment_verdict_follows_its_certificate(monkeypatch):
+    # L/N = 1 + 0.75e-9 lies inside the realignment tolerance: not certified
+    # entangled, so the verdict must not report a failed realignment test
+    monkeypatch.setattr(Channel, "lambda_phi", property(lambda self: 2.0 + 1.5e-9))
+    ch = depolarizing(2, 1.0 / 3.0)
+    value, certified = realignment_test(ch)
+    assert value == (2.0 + 1.5e-9) / 2.0 and not certified
+    assert classify_region(ch, 2.0).realignment_pass
 
 
 def test_entropic_violation_never_contradicts_ppt_separability():
