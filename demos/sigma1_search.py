@@ -2,9 +2,12 @@
 
 sigma1 is the largest singular value of the superoperator; the variational
 search maximizes |Phi(rho)|_2 / |rho|_2 over density matrices only, so it can
-never exceed the true value beyond roundoff.  On these ensembles the warm
-start already lands on the optimum, so every budget reproduces sigma1 to
-machine precision; the random probes are a safety net for harder instances.
+never exceed the true value beyond roundoff.  Its warm start, the positive
+part of the top right-singular vector, is exact on every completely positive
+map: Phi^dag Phi is then completely positive too, and by the Perron-Frobenius
+theorem for positive maps a density matrix attains sigma1.  So every budget
+reproduces sigma1 to machine precision here; the random probes are the part
+of the estimate that does not rely on the SVD.
 """
 
 from qchan import (

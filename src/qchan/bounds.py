@@ -23,7 +23,7 @@ import numpy as np
 from .channels import Channel, ChannelStack, ValidationError
 from .entropy import Q_ONE_WINDOW, entropies, renyi, renyi_order, spectrum_probabilities
 from .matcore import first_failure, reorder, singular_values
-from .zoo import random_density, random_pure_state, rng_stream
+from .zoo import rng_stream
 
 # Bound satisfaction margin: slack >= -CHECK_TOL counts as satisfied.
 CHECK_TOL = 1e-8
@@ -136,12 +136,14 @@ def sigma1_variational(ch: Channel, budget: int = 2000, seed: int = 0) -> float:
     over density matrices.
 
     Every evaluated candidate is a valid state, so the result never exceeds
-    the true value (up to roundoff).  The search combines a deterministic
-    warm start (the positive part of the dominant right-singular vector),
-    ``budget`` Hilbert-Schmidt-random samples evaluated in one matrix
-    product, and 200 refinement steps that mix the incumbent with a random
-    state, solving each one-dimensional mixing problem exactly (the ratio of
-    two quadratics along a segment has closed-form critical points).
+    the true value (up to roundoff).  It is the larger of two estimates.  The
+    deterministic warm start is the normalized positive part of the dominant
+    right-singular vector.  On a completely positive map it is exact: then
+    ``Phi^dag Phi`` is completely positive as well, and by the Perron-Frobenius
+    theorem for positive maps (Evans and Hoegh-Krohn 1978) its top eigenvalue
+    ``sigma1^2`` has a positive semidefinite eigenvector.  The ``budget``
+    Hilbert-Schmidt-random states, evaluated in one matrix product, are the
+    check that does not depend on the SVD.
     """
     if budget < 1:
         raise ValueError("sample budget must be positive")
@@ -149,13 +151,9 @@ def sigma1_variational(ch: Channel, budget: int = 2000, seed: int = 0) -> float:
     s = ch.superop
     rng = rng_stream(seed)
 
-    def ratio(vec: np.ndarray) -> float:
-        return float(np.linalg.norm(s @ vec) / np.linalg.norm(vec))
-
     # Warm start: Hermitian positive part of the dominant input direction.
     _, _, vh = np.linalg.svd(s)
     top = vh[0].conj().reshape(n, n)
-    best_vec = None
     best = -math.inf
     for m in (top + top.conj().T, 1j * (top - top.conj().T)):
         w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
@@ -163,57 +161,12 @@ def sigma1_variational(ch: Channel, budget: int = 2000, seed: int = 0) -> float:
         tr = absm.trace().real
         if tr > 1e-12:
             vec = (absm / tr).reshape(-1)
-            r = ratio(vec)
-            if r > best:
-                best, best_vec = r, vec
+            best = max(best, float(np.linalg.norm(s @ vec) / np.linalg.norm(vec)))
 
     g = rng.standard_normal((budget, n, n)) + 1j * rng.standard_normal((budget, n, n))
-    rhos = g @ g.conj().transpose(0, 2, 1)
-    vecs = rhos.reshape(budget, n * n)
-    nums = np.linalg.norm(vecs @ s.T, axis=1)
-    dens = np.linalg.norm(vecs, axis=1)
-    ratios = nums / dens
-    i = int(np.argmax(ratios))
-    if ratios[i] > best:
-        best = float(ratios[i])
-        best_vec = (rhos[i] / rhos[i].trace()).reshape(-1)
-
-    for step in range(200):
-        if step % 2 == 0:
-            pert = random_density(n, rng)
-        else:
-            pert = random_pure_state(n, rng)
-        u = best_vec
-        w = pert.reshape(-1) - u
-        a, b = s @ u, s @ w
-        n2, n1, n0 = (
-            float(np.vdot(b, b).real),
-            2.0 * float(np.vdot(b, a).real),
-            float(np.vdot(a, a).real),
-        )
-        d2, d1_, d0 = (
-            float(np.vdot(w, w).real),
-            2.0 * float(np.vdot(w, u).real),
-            float(np.vdot(u, u).real),
-        )
-        # critical points of (n2 t^2 + n1 t + n0)/(d2 t^2 + d1 t + d0)
-        coeffs = np.array(
-            [n2 * d1_ - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1_]
-        )
-        candidates = [1.0]
-        if abs(coeffs[0]) > 0.0 or abs(coeffs[1]) > 0.0:
-            for root in np.roots(coeffs):
-                if abs(root.imag) < 1e-12 and 0.0 < root.real < 1.0:
-                    candidates.append(float(root.real))
-        for t in candidates:
-            den = d2 * t * t + d1_ * t + d0
-            if den <= 0.0:
-                continue
-            r = math.sqrt(max((n2 * t * t + n1 * t + n0) / den, 0.0))
-            if r > best:
-                best = r
-                best_vec = u + t * w
-    return best
+    vecs = (g @ g.conj().transpose(0, 2, 1)).reshape(budget, n * n)
+    ratios = np.linalg.norm(vecs @ s.T, axis=1) / np.linalg.norm(vecs, axis=1)
+    return max(best, float(ratios.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -485,12 +485,17 @@ class _CheckResult:
         if not slack >= -tol:  # a nan slack fails too
             self.failures.append(reproducer)
 
+    @property
+    def failed(self) -> bool:
+        # A check that ran no instance has shown nothing, so it fails.
+        return not self.checks or bool(self.failures)
+
     def line(self) -> str:
-        status = "FAIL" if self.failures else "PASS"
+        status = "FAIL" if self.failed else "PASS"
         worst = "inf" if math.isinf(self.worst_slack) else format(self.worst_slack, ".6e")
         text = f"{status} {self.name} checks={self.checks} worst_slack={worst}"
-        if self.failures:
-            text += f" reproducer={self.failures[0]}"
+        if self.failed:
+            text += f" reproducer={self.failures[0] if self.failures else 'no_instance'}"
         return text
 
 
@@ -651,6 +656,8 @@ def cmd_verify(args) -> int:
     }
     if args.suite != "all" and args.suite not in suites:
         raise ValueError(f"unknown suite {args.suite!r}; valid: all, {', '.join(suites)}")
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     selected = list(suites) if args.suite == "all" else [args.suite]
     results: list[_CheckResult] = []
     for name in selected:
@@ -666,7 +673,7 @@ def cmd_verify(args) -> int:
         results.append(control)
     for res in results:
         print(res.line())
-    failed = sum(1 for r in results if r.failures)
+    failed = sum(1 for r in results if r.failed)
     print(
         f"verify: {len(results) - failed} passed, {failed} failed "
         f"(suite={args.suite}, n={args.n}, seed={args.seed})"

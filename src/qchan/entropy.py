@@ -128,9 +128,10 @@ def probabilities(stack: ChannelStack, kind: str) -> np.ndarray:
     ``kind`` names the spectrum: ``"map"`` is the rescaled Choi spectrum
     ``lambda(D)/N``, ``"receiver"`` the superoperator singular values over
     ``L``, and ``"output"`` the spectrum of ``Phi(1/N)``.  Each is formed
-    and validated once per stack, on first use, so a spectrum that cannot be
-    formed (the map spectrum of a non-Hermitian Choi matrix) only fails what
-    reads it.
+    and validated once per stack, on first use, by
+    :func:`spectrum_probabilities`, whose output is non-negative and
+    normalized by construction; a spectrum that cannot be formed (the map
+    spectrum of a non-Hermitian Choi matrix) only fails what reads it.
     """
     p = stack.entropy_cache.get(kind)
     if p is None:
@@ -149,7 +150,6 @@ def probabilities(stack: ChannelStack, kind: str) -> np.ndarray:
             )
         else:
             raise ValueError(f"unknown spectrum {kind!r}")
-        p = check_probabilities(p)
         p.setflags(write=False)
         stack.entropy_cache[kind] = p
     return p

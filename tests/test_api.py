@@ -31,3 +31,9 @@ def test_demo_imports(path):
     # a run_name other than __main__ loads the demo without running it
     namespace = runpy.run_path(str(path), run_name="demo_import")
     assert callable(namespace["main"])
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -19,7 +19,7 @@ from qchan.bounds import (
     sigma1_variational,
     spectral_entropy_bounds,
 )
-from qchan.channels import ValidationError, from_superoperator
+from qchan.channels import ValidationError, from_kraus, from_superoperator
 from qchan.entropy import map_entropy, output_entropy, receiver_entropy, renyi
 from qchan.matcore import reshuffle_permutation
 from qchan.separability import classify_region
@@ -493,10 +493,32 @@ def test_evaluate_all_random_sweep():
 # variational search
 
 
+def _amplitude_damping(dim, gamma):
+    """Each excited level decays to the first basis state with probability ``gamma``."""
+    keep = np.diag([1.0] + [math.sqrt(1.0 - gamma)] * (dim - 1)).astype(complex)
+    decay = [np.zeros((dim, dim), dtype=complex) for _ in range(dim - 1)]
+    for k, a in enumerate(decay, start=1):
+        a[0, k] = math.sqrt(gamma)
+    return from_kraus([keep, *decay])
+
+
 def test_sigma1_variational_exact_on_known_channels():
     for ch in (identity_channel(2), spontaneous_emission(), depolarizing(2, 0.35)):
         est = sigma1_variational(ch, budget=100, seed=3)
         assert abs(est - ch.sigma1) < 1e-9, ch.label
+    # On a CP map the warm start alone attains sigma1 (Perron-Frobenius for
+    # Phi^dag Phi), so a single random probe leaves the estimate exact.
+    for n in range(2, 9):
+        rng = rng_substream(97, n)
+        channels = [random_cptp(n, env, rng) for env in (1, n, n * n)] + [
+            random_bistochastic(n, 3, rng),
+            coarse_graining(n),
+            spontaneous_emission(n),
+            _amplitude_damping(n, 0.3),
+        ]
+        for ch in channels:
+            est = sigma1_variational(ch, budget=1, seed=n)
+            assert abs(est - ch.sigma1) <= 1e-12, (n, ch.label, est, ch.sigma1)
 
 
 def test_sigma1_variational_is_one_sided():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qchan import bounds, cli
+from qchan.channels import Channel
 from qchan.cli import SCAN_BASE_COLUMNS, load_channel_spec, main
 
 LN2 = math.log(2.0)
@@ -383,3 +384,31 @@ def test_verify_fails_on_an_error_record(capsys, monkeypatch):
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_rejects_n_below_one(capsys, n):
+    assert main(["verify", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n must be >= 1\n"
+
+
+def test_verify_fails_a_check_that_ran_no_instance(capsys):
+    # at n=1, seed 0 draws no PPT channel, so the two PPT-fed checks see nothing
+    assert main(["verify", "--suite", "separability", "--n", "1", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "FAIL separability.ppt_implies_criteria checks=0 worst_slack=inf reproducer=no_instance"
+        in out
+    )
+    assert "PASS separability.region_examples" in out
+    assert out.endswith("verify: 1 passed, 2 failed (suite=separability, n=1, seed=0)\n")
+
+
+def test_verify_sigma1_oracle_catches_a_low_svd(capsys, monkeypatch):
+    # the certificate is the search alone: an SVD that reads 1e-6 low must fail it
+    true_sigma1 = Channel.sigma1
+    monkeypatch.setattr(Channel, "sigma1", property(lambda ch: true_sigma1.fget(ch) - 1e-6))
+    assert main(["verify", "--suite", "bounds", "--n", "4", "--seed", "0"]) == 1
+    assert "FAIL bounds.sigma1_oracle_one_sided checks=4 " in capsys.readouterr().out
