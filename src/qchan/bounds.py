@@ -15,7 +15,7 @@ eigenvalue of ``Phi(1/N)``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -524,12 +524,7 @@ class BoundReport:
         raise KeyError(f"no record with id {rid!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "channel_label": self.channel_label,
-            "q": json_safe(self.q),
-            "aggregates": json_safe(self.aggregates),
-            "records": [record_dict(r) for r in self.records],
-        }
+        return json_safe(asdict(self))
 
     def csv_rows(self) -> list[tuple]:
         """One row per record: label, q, id, lhs, rhs, slack, satisfied."""
@@ -556,19 +551,6 @@ def json_safe(x):
             return x
         return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
     return x
-
-
-def record_dict(r: BoundRecord) -> dict:
-    """JSON-safe dict form of a single record."""
-    return {
-        "id": r.id,
-        "lhs": json_safe(r.lhs),
-        "rhs": json_safe(r.rhs),
-        "relation": r.relation,
-        "slack": json_safe(r.slack),
-        "satisfied": r.satisfied,
-        "citation": r.citation,
-    }
 
 
 def evaluate_all(ch: Channel, q) -> BoundReport:

@@ -39,14 +39,6 @@ class ValidationError(ValueError):
     """A matrix fails the physical-consistency checks for its intended role."""
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1)
-
-
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape(n, n)
-
-
 def check_state(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix (Hermitian, unit trace, PSD) and return it."""
     rho = as_complex_matrix(rho)
@@ -93,22 +85,7 @@ class ChannelStack:
     spectra and Rényi entropies that :mod:`qchan.entropy` derives from them.
     """
 
-    __slots__ = (
-        "dim",
-        "superop",
-        "choi",
-        "hermitian",
-        "choi_eigenvalues",
-        "choi_psd_tol",
-        "cp",
-        "tp",
-        "unital",
-        "output_state",
-        "_singular_values",
-        "_output_eigenvalues",
-        "entropy_cache",
-    )
-    # Arrays set at validation time, one entry per map; joined by join().
+    # Arrays set at validation time, one entry per map; shared by channel().
     _VALIDATED = (
         "superop",
         "choi",
@@ -120,6 +97,7 @@ class ChannelStack:
         "unital",
         "output_state",
     )
+    __slots__ = _VALIDATED + ("dim", "_singular_values", "_output_eigenvalues", "entropy_cache")
 
     def __init__(self, superop, dim: int, *, require_cptp=True, index=None):
         superop = np.array(superop, dtype=complex)
@@ -144,8 +122,8 @@ class ChannelStack:
         trace_dev = np.abs(choi.trace(axis1=-2, axis2=-1) - n)
         tp = (marginal_dev <= TP_TOL) & (trace_dev <= TP_TOL)
 
-        image = superop @ _vec(mixed)
-        unital = np.linalg.norm(image - _vec(mixed), axis=-1) <= TP_TOL
+        image = superop @ mixed.reshape(-1)
+        unital = np.linalg.norm(image - mixed.reshape(-1), axis=-1) <= TP_TOL
         out = image.reshape(b, n, n)
         out = (out + out.swapaxes(-1, -2).conj()) / 2.0
 
@@ -189,25 +167,21 @@ class ChannelStack:
         self._output_eigenvalues = None
         self.entropy_cache = {}
 
-    @classmethod
-    def join(cls, stacks) -> "ChannelStack":
-        """One stack holding the maps of already validated stacks, in order.
+    def channel(self, i: int = 0, *, label=None, meta=None) -> "Channel":
+        """A :class:`Channel` over map ``i``, which is not validated again.
 
-        Nothing is validated or decomposed again; spectra not yet computed
-        are computed for the joined stack on first access.
+        It shares this stack's validated arrays but computes its own
+        singular values, output spectrum and entropies on first access.
         """
-        stacks = list(stacks)
-        if not stacks:
-            raise ValueError("need at least one stack to join")
-        dims = {s.dim for s in stacks}
-        if len(dims) != 1:
-            raise ValueError(f"cannot join stacks of different dimensions {sorted(dims)}")
-        out = cls.__new__(cls)
-        out.dim = stacks[0].dim
-        for name in cls._VALIDATED:
-            setattr(out, name, np.concatenate([getattr(s, name) for s in stacks]))
-        out._freeze()
-        return out
+        i = range(len(self))[i]
+        row = ChannelStack.__new__(ChannelStack)
+        row.dim = self.dim
+        for name in self._VALIDATED:
+            setattr(row, name, getattr(self, name)[i : i + 1])
+        row._freeze()
+        ch = Channel.__new__(Channel)
+        ch._set(row, label, meta)
+        return ch
 
     def __len__(self) -> int:
         return self.superop.shape[0]
@@ -293,7 +267,10 @@ class Channel:
         n = int(round(rows**0.5)) if dim is None else int(dim)
         if n * n != rows:
             raise ValueError(f"superoperator size {rows} is not a square of the dimension")
-        self.stack = ChannelStack(superop[None], n, require_cptp=require_cptp)
+        self._set(ChannelStack(superop[None], n, require_cptp=require_cptp), label, meta)
+
+    def _set(self, stack: ChannelStack, label, meta) -> None:
+        self.stack = stack
         self.label = label
         self.meta = dict(meta) if meta else {}
         self._kraus = None
@@ -384,7 +361,7 @@ class Channel:
     def apply(self, rho) -> np.ndarray:
         """Apply the channel to a density matrix and return the output state."""
         rho = check_state(rho, self.dim)
-        return _unvec(self.superop @ _vec(rho), self.dim)
+        return (self.superop @ rho.reshape(-1)).reshape(self.dim, self.dim)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         name = self.label or "channel"

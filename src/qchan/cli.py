@@ -21,20 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
 
 from . import bounds, entropy, separability, zoo
 from .bounds import json_safe
-from .channels import (
-    Channel,
-    ChannelStack,
-    ValidationError,
-    from_choi,
-    from_kraus,
-    from_superoperator,
-)
+from .channels import Channel, ValidationError, from_choi, from_kraus, from_superoperator
 
 FAMILY_NAMES = (
     "identity",
@@ -127,17 +121,37 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
     )
 
 
-def _need(params: dict, key: str, family: str):
-    if key not in params:
+def _number(value, field: str, integer: bool = False):
+    """A spec's JSON number as a float, or as an int when ``integer``
+    (integral floats such as ``2.0`` pass); ``ValueError`` names ``field``."""
+    kind = "an integer" if integer else "a number"
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ok and integer and not isinstance(value, numbers.Integral):
+        ok = float(value).is_integer()
+    if not ok:
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _param(params: dict, key: str, family: str, default=None, *, integer=False, many=False):
+    """Family parameter ``key`` read by :func:`_number`, or a list of such
+    numbers with ``many``; it is required unless it has a default."""
+    if key not in params and default is None:
         raise ValueError(f"family {family!r}: missing parameter {key!r}")
-    return params[key]
+    value = params.get(key, default)
+    field = f"family {family!r}: parameter {key!r}"
+    if not many:
+        return _number(value, field, integer)
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list of numbers, got {value!r}")
+    return [_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
 def _build_family(name: str, params: dict, dim: int) -> Channel:
     if name == "identity":
         return zoo.identity_channel(dim)
     if name == "depolarizing":
-        return zoo.depolarizing(dim, float(_need(params, "alpha", name)))
+        return zoo.depolarizing(dim, _param(params, "alpha", name))
     if name == "coarse_graining":
         return zoo.coarse_graining(dim)
     if name == "complete_contraction":
@@ -150,27 +164,26 @@ def _build_family(name: str, params: dict, dim: int) -> Channel:
         return zoo.spontaneous_emission(dim)
     if name == "interval":
         return zoo.interval_channel(
-            float(_need(params, "alpha", name)),
-            float(_need(params, "beta", name)),
-            float(params.get("phi1", 0.0)),
-            float(params.get("phi2", 0.0)),
+            _param(params, "alpha", name),
+            _param(params, "beta", name),
+            _param(params, "phi1", name, 0.0),
+            _param(params, "phi2", name, 0.0),
         )
     if name == "pauli":
-        return zoo.pauli_channel([float(w) for w in _need(params, "p", name)])
+        return zoo.pauli_channel(_param(params, "p", name, many=True))
     if name == "reshuffle_invariant":
-        eta = [float(e) for e in _need(params, "eta", name)]
+        eta = _param(params, "eta", name, many=True)
         u = None
         if "u" in params:
             u = _parse_matrix(params["u"], "family reshuffle_invariant, field u")
         return zoo.reshuffle_invariant(eta, u)
-    if name == "random_cptp":
-        env_dim = int(params.get("env_dim", dim * dim))
-        rng = zoo.rng_substream(int(params.get("seed", 0)), int(params.get("index", 0)))
-        return zoo.random_cptp(dim, env_dim, rng)
-    if name == "random_bistochastic":
-        k = int(params.get("k", 2))
-        rng = zoo.rng_substream(int(params.get("seed", 0)), int(params.get("index", 0)))
-        return zoo.random_bistochastic(dim, k, rng)
+    if name in ("random_cptp", "random_bistochastic"):
+        seed, index = (_param(params, key, name, 0, integer=True) for key in ("seed", "index"))
+        rng = zoo.rng_substream(seed, index)
+        if name == "random_cptp":
+            env_dim = _param(params, "env_dim", name, dim * dim, integer=True)
+            return zoo.random_cptp(dim, env_dim, rng)
+        return zoo.random_bistochastic(dim, _param(params, "k", name, 2, integer=True), rng)
     raise ValueError(f"unknown family {name!r}; valid names: {', '.join(FAMILY_NAMES)}")
 
 
@@ -188,7 +201,7 @@ def load_channel_spec(doc) -> Channel:
         fam = doc.get("family")
         if not isinstance(fam, dict) or "name" not in fam:
             raise ValueError('family form needs a "family" object with a "name"')
-        dim = _check_dim(int(doc.get("dim", 2)), "dim")
+        dim = _check_dim(_number(doc.get("dim", 2), "dim", integer=True), "dim")
         params = fam.get("params", {})
         if not isinstance(params, dict):
             raise ValueError('"params" must be an object')
@@ -198,7 +211,7 @@ def load_channel_spec(doc) -> Channel:
         if not isinstance(mats, list) or not mats:
             raise ValueError(f'form {form!r} needs a non-empty "matrices" list')
         parsed = [_parse_matrix(m, f"matrices[{i}]") for i, m in enumerate(mats)]
-        declared = int(doc["dim"]) if "dim" in doc else None
+        declared = _number(doc["dim"], "dim", integer=True) if "dim" in doc else None
         if form == "kraus":
             ch = from_kraus(parsed)
         else:
@@ -309,31 +322,6 @@ def cmd_analyze(args) -> int:
 # scan
 
 
-def _env_dim(dim: int, index: int) -> int:
-    """Environment dimension of scan row ``index`` of ``random_cptp``."""
-    return dim if index % 2 == 0 else dim * dim
-
-
-def _ensemble_channel(ensemble: str, dim: int, seed: int, index: int, n: int) -> Channel:
-    rng = zoo.rng_substream(seed, index)
-    if ensemble == "random_cptp":
-        return zoo.random_cptp(dim, _env_dim(dim, index), rng)
-    if ensemble == "random_bistochastic":
-        return zoo.random_bistochastic(dim, index % 4 + 1, rng)
-    if ensemble == "depolarizing":
-        alpha = index / (n - 1) if n > 1 else 0.0
-        return zoo.depolarizing(dim, alpha)
-    if dim != 2:
-        raise ValueError(f"ensemble {ensemble!r} is defined for dim=2 only")
-    if ensemble == "random_pauli":
-        return zoo.random_pauli_channel(rng)
-    if ensemble == "random_interval":
-        return zoo.random_interval_channel(rng)
-    if ensemble == "random_reshuffle_invariant":
-        return zoo.random_reshuffle_invariant(rng)
-    raise ValueError(f"unknown ensemble {ensemble!r}; valid: {', '.join(ENSEMBLES)}")
-
-
 def _chunk_rows(dim: int) -> int:
     """Rows per scan chunk: as many ``N^2 x N^2`` complex matrices as fit
     in ``SCAN_CHUNK_BYTES``, and at least one."""
@@ -341,19 +329,20 @@ def _chunk_rows(dim: int) -> int:
 
 
 def _sample_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int):
-    """Validated stack and CSV-safe labels of the scan rows ``indices``."""
+    """Validated stack and labels of the scan rows ``indices``; every row of
+    an ensemble that draws gets its own substream."""
+    if ensemble == "depolarizing":
+        return zoo.depolarizing_stack(dim, [i / (n - 1) if n > 1 else 0.0 for i in indices])
+    rngs = [zoo.rng_substream(seed, i) for i in indices]
     if ensemble == "random_cptp":
-        stack, labels = zoo.random_cptp_stack(
-            dim,
-            [_env_dim(dim, i) for i in indices],
-            [zoo.rng_substream(seed, i) for i in indices],
-            index=indices,
-        )
-    else:
-        channels = [_ensemble_channel(ensemble, dim, seed, i, n) for i in indices]
-        stack = ChannelStack.join(ch.stack for ch in channels)
-        labels = [ch.label or ensemble for ch in channels]
-    return stack, [label.replace(",", ";") for label in labels]
+        envs = [dim if i % 2 == 0 else dim * dim for i in indices]
+        return zoo.random_cptp_stack(dim, envs, rngs, index=indices)
+    if ensemble == "random_bistochastic":
+        ks = [i % 4 + 1 for i in indices]
+        return zoo.random_bistochastic_stack(dim, ks, rngs, index=indices)
+    if dim != 2:
+        raise ValueError(f"ensemble {ensemble!r} is defined for dim=2 only")
+    return getattr(zoo, f"{ensemble}_stack")(rngs, index=indices)
 
 
 def _scan_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int, q: float, table):
@@ -361,7 +350,7 @@ def _scan_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int, q: f
     column per bound of ``table``, each with one entry per row."""
     stack, labels = _sample_chunk(ensemble, dim, seed, indices, n)
     point = entropy.entropy_columns(stack, q)
-    columns = [labels, list(indices), [q] * len(indices)]
+    columns = [[label.replace(",", ";") for label in labels], list(indices), [q] * len(indices)]
     columns += [point[name] for name in SCAN_BASE_COLUMNS[3:-1]]
     columns.append(separability.classify_regions(stack, q))
     for bound in table:

@@ -17,7 +17,7 @@ for the entropy plane:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .bounds import (
     BoundRecord,
     bound_columns,
     column_record,
+    json_safe,
     record,
-    record_dict,
 )
 from .channels import Channel, ChannelStack
 from .matcore import hermitian_eigenvalues
@@ -117,14 +117,7 @@ class SeparabilityVerdict:
     criteria: tuple[BoundRecord, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "realignment_value": self.realignment_value,
-            "realignment_pass": self.realignment_pass,
-            "ppt_min_eigenvalue": self.ppt_min_eigenvalue,
-            "ppt_pass": self.ppt_pass,
-            "region": self.region,
-            "criteria": [record_dict(r) for r in self.criteria],
-        }
+        return json_safe(asdict(self))
 
 
 def _verdict_columns(stack: ChannelStack, q):

@@ -11,14 +11,7 @@ import math
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    ChannelStack,
-    check_state,
-    from_isometry,
-    from_kraus,
-    isometry_superops,
-)
+from .channels import Channel, ChannelStack, check_state, isometry_superops
 from .matcore import as_complex_matrix
 
 PAULI = (
@@ -64,14 +57,20 @@ def depolarizing(dim: int, alpha: float) -> Channel:
     singular values are ``1`` once and ``alpha`` with multiplicity
     ``N^2 - 1``.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {alpha}")
-    d = dim * dim
+    return _single(depolarizing_stack(dim, [alpha]))
+
+
+def depolarizing_stack(dim: int, alphas):
+    """Channels ``depolarizing(dim, alphas[i])`` as one stack; returns ``(stack, labels)``."""
+    alphas = [float(alpha) for alpha in alphas]
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"mixing parameter must lie in [0, 1], got {alpha}")
     eye_vec = np.eye(dim, dtype=complex).reshape(-1)
     contraction = np.outer(eye_vec / dim, eye_vec)
-    superop = alpha * np.eye(d, dtype=complex) + (1.0 - alpha) * contraction
-    return Channel(superop, dim, label=f"depolarizing(N={dim},alpha={alpha:g})")
+    mix = np.array(alphas)[:, None, None]
+    superops = mix * np.eye(dim * dim, dtype=complex) + (1.0 - mix) * contraction
+    return ChannelStack(superops, dim), [f"depolarizing(N={dim},alpha={a:g})" for a in alphas]
 
 
 def coarse_graining(dim: int) -> Channel:
@@ -95,15 +94,12 @@ def spontaneous_emission(dim: int = 2) -> Channel:
     """Decay of everything into the first basis state, ``rho -> |0><0|``."""
     xi = np.zeros((dim, dim), dtype=complex)
     xi[0, 0] = 1.0
-    ch = complete_contraction(xi)
-    return Channel(ch.superop, dim, label=f"spontaneous_emission(N={dim})")
+    return complete_contraction(xi).stack.channel(label=f"spontaneous_emission(N={dim})")
 
 
 def maximally_depolarizing(dim: int) -> Channel:
     """Full contraction to the maximally mixed state, ``rho -> 1/N``."""
-    return Channel(
-        depolarizing(dim, 0.0).superop, dim, label=f"maximally_depolarizing(N={dim})"
-    )
+    return depolarizing(dim, 0.0).stack.channel(label=f"maximally_depolarizing(N={dim})")
 
 
 def pauli_channel(p) -> Channel:
@@ -111,9 +107,7 @@ def pauli_channel(p) -> Channel:
     p = np.asarray(p, dtype=float)
     if p.shape != (4,) or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
         raise ValueError(f"need four non-negative weights summing to 1, got {p}")
-    ops = [np.sqrt(max(w, 0.0)) * s for w, s in zip(p, PAULI) if w > 0.0]
-    label = "pauli(" + ",".join(f"{w:g}" for w in p) + ")"
-    return from_kraus(ops, label=label)
+    return _single(_pauli_stack(p[None]))
 
 
 def interval_channel(alpha: float, beta: float, phi1: float = 0.0, phi2: float = 0.0) -> Channel:
@@ -127,36 +121,41 @@ def interval_channel(alpha: float, beta: float, phi1: float = 0.0, phi2: float =
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    rho1 = _pure_interval_state(alpha, phi1)
-    rho2 = _pure_interval_state(beta, phi2)
-    return _interval_from_states(
-        rho1, rho2, label=f"interval(a={alpha:g},b={beta:g},phi1={phi1:g},phi2={phi2:g})"
-    )
+    params = np.array([[alpha, beta, phi1, phi2]], dtype=float)
+    return _single(_pure_interval_stack(params), meta={"interval": True})
 
 
 def interval_channel_general(rho1, rho2, *, label=None) -> Channel:
     """Interval map with arbitrary (possibly mixed) endpoint states."""
-    rho1 = check_state(rho1, 2)
-    rho2 = check_state(rho2, 2)
-    return _interval_from_states(rho1, rho2, label=label or "interval(general)")
+    stack = _interval_stack(check_state(rho1, 2)[None], check_state(rho2, 2)[None])
+    return stack.channel(label=label or "interval(general)", meta={"interval": True})
 
 
-def _pure_interval_state(weight: float, phase: float) -> np.ndarray:
-    off = math.sqrt(weight * (1.0 - weight))
-    return np.array(
-        [
-            [weight, off * np.exp(1j * phase)],
-            [off * np.exp(-1j * phase), 1.0 - weight],
-        ],
-        dtype=complex,
-    )
+def _pure_interval_states(weight: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    off = np.sqrt(weight * (1.0 - weight))
+    states = np.empty((len(weight), 2, 2), dtype=complex)
+    states[:, 0, 0] = weight
+    states[:, 0, 1] = off * np.exp(1j * phase)
+    states[:, 1, 0] = off * np.exp(-1j * phase)
+    states[:, 1, 1] = 1.0 - weight
+    return states
 
 
-def _interval_from_states(rho1: np.ndarray, rho2: np.ndarray, *, label: str) -> Channel:
-    superop = np.zeros((4, 4), dtype=complex)
-    superop[:, 0] = rho1.reshape(-1)
-    superop[:, 3] = rho2.reshape(-1)
-    return Channel(superop, 2, label=label, meta={"interval": True})
+def _interval_stack(rho1: np.ndarray, rho2: np.ndarray, index=None) -> ChannelStack:
+    """Interval maps from ``(B, 2, 2)`` endpoint states: the first and last
+    superoperator columns are ``vec(rho1[i])`` and ``vec(rho2[i])``."""
+    superops = np.zeros((len(rho1), 4, 4), dtype=complex)
+    superops[:, :, 0] = rho1.reshape(-1, 4)
+    superops[:, :, 3] = rho2.reshape(-1, 4)
+    return ChannelStack(superops, 2, index=index)
+
+
+def _pure_interval_stack(params: np.ndarray, index=None):
+    """Pure-endpoint interval maps, one ``(alpha, beta, phi1, phi2)`` row each."""
+    alpha, beta, phi1, phi2 = params.T
+    rho1, rho2 = _pure_interval_states(alpha, phi1), _pure_interval_states(beta, phi2)
+    labels = [f"interval(a={a:g},b={b:g},phi1={p1:g},phi2={p2:g})" for a, b, p1, p2 in params]
+    return _interval_stack(rho1, rho2, index), labels
 
 
 def reshuffle_invariant(eta, u=None) -> Channel:
@@ -173,19 +172,6 @@ def reshuffle_invariant(eta, u=None) -> Channel:
         raise ValueError(f"need three weights, got shape {eta.shape}")
     if abs(eta.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1 within 1e-12, got {eta.sum():.15f}")
-    e1, e2, e3 = (float(x) for x in eta)
-    # Eigenvalues {1, eta3} on the outer 2x2 block and {eta1, eta2} on the
-    # inner one; with sum(eta) = 1 the matrix is its own reshuffle.
-    base = np.array(
-        [
-            [(1.0 + e3) / 2.0, 0.0, 0.0, (1.0 - e3) / 2.0],
-            [0.0, (e1 + e2) / 2.0, (e1 - e2) / 2.0, 0.0],
-            [0.0, (e1 - e2) / 2.0, (e1 + e2) / 2.0, 0.0],
-            [(1.0 - e3) / 2.0, 0.0, 0.0, (1.0 + e3) / 2.0],
-        ],
-        dtype=complex,
-    )
-    label = f"reshuffle_invariant(eta=({e1:g},{e2:g},{e3:g}))"
     if u is not None:
         u = as_complex_matrix(u)
         if u.shape != (2, 2):
@@ -193,10 +179,27 @@ def reshuffle_invariant(eta, u=None) -> Channel:
         dev = np.linalg.norm(u.conj().T @ u - np.eye(2))
         if dev > 1e-10:
             raise ValueError(f"conjugating matrix is not unitary: deviation {dev:.3e}")
-        w = np.kron(u, u.conj())
-        base = w @ base @ w.conj().T
-        label += "*U"
-    return Channel(base, 2, label=label)
+        u = u[None]
+    return _single(_reshuffle_invariant_stack(eta[None], u))
+
+
+def _reshuffle_invariant_stack(eta: np.ndarray, u=None, index=None):
+    """Reshuffle-invariant maps with weights ``eta[i]``, conjugated by
+    ``kron(u[i], conj(u[i]))`` when ``u`` is given."""
+    e1, e2, e3 = eta.T
+    # Eigenvalues {1, eta3} on the outer 2x2 block and {eta1, eta2} on the
+    # inner one; with sum(eta) = 1 the matrix is its own reshuffle.
+    base = np.zeros((len(eta), 4, 4), dtype=complex)
+    base[:, 0, 0] = base[:, 3, 3] = (1.0 + e3) / 2.0
+    base[:, 0, 3] = base[:, 3, 0] = (1.0 - e3) / 2.0
+    base[:, 1, 1] = base[:, 2, 2] = (e1 + e2) / 2.0
+    base[:, 1, 2] = base[:, 2, 1] = (e1 - e2) / 2.0
+    labels = [f"reshuffle_invariant(eta=({a:g},{b:g},{c:g}))" for a, b, c in eta]
+    if u is not None:
+        # One 2-D product per map: a batched matmul rounds differently.
+        base = np.array([w @ m @ w.conj().T for w, m in zip(_kron_conj(u), base)])
+        labels = [label + "*U" for label in labels]
+    return ChannelStack(base, 2, index=index), labels
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +255,19 @@ def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _single(sampled, label=None, meta=None) -> Channel:
+    """The channel of a one-row ``(stack, labels)`` sample."""
+    stack, labels = sampled
+    return stack.channel(label=label or labels[0], meta=meta)
+
+
+def _kron_conj(u: np.ndarray) -> np.ndarray:
+    """``kron(u[i], conj(u[i]))`` for a ``(B, n, n)`` stack, formed as
+    :func:`numpy.kron` forms it, by one broadcast multiply."""
+    b, n, _ = u.shape
+    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(b, n * n, n * n)
+
+
 def random_cptp(dim: int, env_dim: int, rng: np.random.Generator, *, label=None) -> Channel:
     """Random channel from a Haar Stinespring isometry into system x environment.
 
@@ -260,8 +276,7 @@ def random_cptp(dim: int, env_dim: int, rng: np.random.Generator, *, label=None)
     ``N*d x N`` isometry directly gives the same channel measure as
     :func:`from_environment` on a Haar unitary (Bruzda et al., arXiv:0804.2361).
     """
-    v = haar_isometry(dim * env_dim, dim, rng)
-    return from_isometry(v, dim, env_dim, label=label or _cptp_label(dim, env_dim))
+    return _single(random_cptp_stack(dim, [env_dim], [rng]), label)
 
 
 def random_cptp_stack(dim: int, env_dims, rngs, *, index=None):
@@ -269,58 +284,97 @@ def random_cptp_stack(dim: int, env_dims, rngs, *, index=None):
 
     Returns ``(stack, labels)``.  Each environment dimension gets one
     batched QR and one batched isometry check, and the whole stack is
-    validated once; every entry equals the :func:`random_cptp` channel of
-    the same generator bit for bit.  Errors name channel ``index[i]`` (by
-    default ``i``).
+    validated once.  Errors name channel ``index[i]`` (by default ``i``).
     """
     env_dims = [int(e) for e in env_dims]
     index = range(len(env_dims)) if index is None else index
-    d = dim * dim
-    superops = np.empty((len(env_dims), d, d), dtype=complex)
+    superops = np.empty((len(env_dims), dim * dim, dim * dim), dtype=complex)
     for env in sorted(set(env_dims)):
         rows = [i for i, e in enumerate(env_dims) if e == env]
         v = haar_isometries(dim * env, dim, [rngs[i] for i in rows])
         superops[rows] = isometry_superops(v, dim, env, index=[index[i] for i in rows])
     stack = ChannelStack(superops, dim, index=index)
-    return stack, [_cptp_label(dim, env) for env in env_dims]
-
-
-def _cptp_label(dim: int, env_dim: int) -> str:
-    return f"random_cptp(N={dim},d={env_dim})"
+    return stack, [f"random_cptp(N={dim},d={env})" for env in env_dims]
 
 
 def random_bistochastic(dim: int, k: int, rng: np.random.Generator, *, label=None) -> Channel:
     """Random mixture of ``k`` Haar unitary conjugations (unital and TP)."""
-    if k < 1:
+    return _single(random_bistochastic_stack(dim, [k], [rng]), label)
+
+
+def random_bistochastic_stack(dim: int, ks, rngs, *, index=None):
+    """Channels ``random_bistochastic(dim, ks[i], rngs[i])`` as one stack.
+
+    Returns ``(stack, labels)``.  Each generator draws its Dirichlet
+    weights, then its ``ks[i]`` unitaries; every unitary comes from one
+    batched QR.  Errors name channel ``index[i]`` (by default ``i``).
+    """
+    ks = list(ks)
+    if any(k < 1 for k in ks):
         raise ValueError("need at least one unitary in the mixture")
-    weights = rng.dirichlet(np.ones(k))
-    d = dim * dim
-    superop = np.zeros((d, d), dtype=complex)
-    for w in weights:
-        u = haar_unitary(dim, rng)
-        superop += w * np.kron(u, u.conj())
-    return Channel(superop, dim, label=label or f"random_bistochastic(N={dim},k={k})")
+    weights = [rng.dirichlet(np.ones(k)) for rng, k in zip(rngs, ks)]
+    unitaries = haar_isometries(dim, dim, [rng for rng, k in zip(rngs, ks) for _ in range(k)])
+    first = np.cumsum([0] + ks[:-1])
+    superops = np.zeros((len(ks), dim * dim, dim * dim), dtype=complex)
+    # Terms are added one index at a time, in the order the sum is written.
+    for t in range(max(ks, default=0)):
+        rows = [i for i, k in enumerate(ks) if k > t]
+        w = np.array([weights[i][t] for i in rows])[:, None, None]
+        superops[rows] += w * _kron_conj(unitaries[first[rows] + t])
+    stack = ChannelStack(superops, dim, index=index)
+    return stack, [f"random_bistochastic(N={dim},k={k})" for k in ks]
 
 
 def random_pauli_channel(rng: np.random.Generator) -> Channel:
     """Pauli channel with Dirichlet-uniform weights."""
-    return pauli_channel(rng.dirichlet(np.ones(4)))
+    return _single(random_pauli_stack([rng]))
+
+
+def random_pauli_stack(rngs, *, index=None):
+    """Channels ``random_pauli_channel(rngs[i])`` as one stack; returns ``(stack, labels)``."""
+    return _pauli_stack(np.array([rng.dirichlet(np.ones(4)) for rng in rngs]), index)
+
+
+def _pauli_stack(p: np.ndarray, index=None):
+    """Pauli channels with weights ``p[i]``: the Kraus operators are
+    ``sqrt(p[i, t]) * PAULI[t]``, summed one term at a time."""
+    ops = np.sqrt(np.maximum(p, 0.0))[:, :, None, None] * np.array(PAULI)
+    superops = np.zeros((len(p), 4, 4), dtype=complex)
+    for t in range(4):
+        superops += _kron_conj(ops[:, t])
+    labels = ["pauli(" + ",".join(f"{w:g}" for w in row) + ")" for row in p]
+    return ChannelStack(superops, 2, index=index), labels
 
 
 def random_interval_channel(rng: np.random.Generator, *, pure: bool = True) -> Channel:
     """Random interval map; ``pure=False`` draws mixed endpoint states."""
     if pure:
-        return interval_channel(
-            rng.uniform(), rng.uniform(), rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 2.0 * np.pi)
-        )
+        return _single(random_interval_stack([rng]), meta={"interval": True})
     return interval_channel_general(
         random_density(2, rng), random_density(2, rng), label="interval(random mixed)"
     )
 
 
+def random_interval_stack(rngs, *, index=None):
+    """Channels ``random_interval_channel(rngs[i])`` (pure endpoints) as one
+    stack; returns ``(stack, labels)``."""
+    params = [
+        [rng.uniform(), rng.uniform(), rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 2.0 * np.pi)]
+        for rng in rngs
+    ]
+    return _pure_interval_stack(np.array(params), index)
+
+
 def random_reshuffle_invariant(rng: np.random.Generator) -> Channel:
     """Reshuffle-invariant channel with Dirichlet weights and a Haar frame."""
-    return reshuffle_invariant(rng.dirichlet(np.ones(3)), haar_unitary(2, rng))
+    return _single(random_reshuffle_invariant_stack([rng]))
+
+
+def random_reshuffle_invariant_stack(rngs, *, index=None):
+    """Channels ``random_reshuffle_invariant(rngs[i])`` as one stack, with
+    every frame from one batched QR; returns ``(stack, labels)``."""
+    eta = np.array([rng.dirichlet(np.ones(3)) for rng in rngs])
+    return _reshuffle_invariant_stack(eta, haar_isometries(2, 2, rngs), index)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,28 @@
 import pytest
 
-from qchan import random_bistochastic, random_cptp, rng_substream
+from qchan import rng_substream
+from qchan.zoo import random_bistochastic_stack, random_cptp_stack
 
 CPTP_SEED = 101
 BISTOCHASTIC_SEED = 202
 
 
+def _rows(stack, labels):
+    """One channel per stack row; each computes its own spectra when read."""
+    return [stack.channel(i, label=label) for i, label in enumerate(labels)]
+
+
 @pytest.fixture(scope="session")
 def cptp_ensemble():
     """10^4 random CP-TP qubit channels with environment dims 2 and 4."""
-    return [
-        random_cptp(2, 2 if i % 2 == 0 else 4, rng_substream(CPTP_SEED, i))
-        for i in range(10_000)
-    ]
+    envs = [2 if i % 2 == 0 else 4 for i in range(10_000)]
+    rngs = [rng_substream(CPTP_SEED, i) for i in range(10_000)]
+    return _rows(*random_cptp_stack(2, envs, rngs))
 
 
 @pytest.fixture(scope="session")
 def bistochastic_ensemble():
     """10^4 random unitary mixtures (1 to 4 terms)."""
-    return [
-        random_bistochastic(2, i % 4 + 1, rng_substream(BISTOCHASTIC_SEED, i))
-        for i in range(10_000)
-    ]
+    ks = [i % 4 + 1 for i in range(10_000)]
+    rngs = [rng_substream(BISTOCHASTIC_SEED, i) for i in range(10_000)]
+    return _rows(*random_bistochastic_stack(2, ks, rngs))

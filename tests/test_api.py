@@ -1,14 +1,19 @@
-"""The public surface: ``qchan.__all__`` and the demos that use it."""
+"""The public surface: ``qchan.__all__``, the demos that use it, and the
+entry points that the benchmark's tracer patches."""
 
+import importlib.util
 import runpy
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import qchan
+import qchan.cli
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -37,3 +42,26 @@ def test_demo_imports(path):
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_benchmark_tracer_installs_and_restores_every_patch():
+    # perfbench/spans.py patches qchan entry points by name; a refactor that
+    # drops one makes install() raise here instead of breaking a traced run.
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("qchan_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {name: m for name, m in sys.modules.items() if name.startswith("qchan.") and m}
+    before = {name: dict(vars(m)) for name, m in modules.items()}
+    init = qchan.Channel.__init__
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert qchan.zoo.random_cptp is not before["qchan.zoo"]["random_cptp"]
+        assert qchan.Channel.__init__ is not init
+    finally:
+        tracer.uninstall()
+    for name, module in modules.items():
+        changed = [k for k, v in before[name].items() if vars(module).get(k) is not v]
+        assert changed == [], name
+    assert qchan.Channel.__init__ is init

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchan import bounds, cli, entropy, separability
-from qchan.channels import ChannelStack, ValidationError, isometry_superops
+from qchan import bounds, cli, entropy, separability, zoo
+from qchan.channels import Channel, ChannelStack, ValidationError, isometry_superops
 from qchan.cli import SCAN_BASE_COLUMNS, main
 from qchan.entropy import check_probabilities, renyi, spectrum_probabilities
 from qchan.matcore import hermitian_eigenvalues
@@ -40,9 +40,25 @@ CASES = [(e, 2) for e in cli.ENSEMBLES] + [
 ]
 
 
+def _row_channel(ensemble, dim, seed, index, n) -> Channel:
+    """Scan row ``index`` drawn by the public per-channel sampler."""
+    rng = rng_substream(seed, index)
+    if ensemble == "random_cptp":
+        return random_cptp(dim, dim if index % 2 == 0 else dim * dim, rng)
+    if ensemble == "random_bistochastic":
+        return zoo.random_bistochastic(dim, index % 4 + 1, rng)
+    if ensemble == "depolarizing":
+        return depolarizing(dim, index / (n - 1) if n > 1 else 0.0)
+    return {
+        "random_pauli": zoo.random_pauli_channel,
+        "random_interval": zoo.random_interval_channel,
+        "random_reshuffle_invariant": zoo.random_reshuffle_invariant,
+    }[ensemble](rng)
+
+
 def _single_row(ensemble, dim, seed, index, n, q, ids) -> str:
     """A scan row rebuilt from the per-channel API."""
-    ch = cli._ensemble_channel(ensemble, dim, seed, index, n)
+    ch = _row_channel(ensemble, dim, seed, index, n)
     point = entropy.entropy_point(ch, q)
     slacks = {r.id: r.slack for r in bounds.evaluate_all(ch, q).records}
     row = [(ch.label or ensemble).replace(",", ";"), index, q, point.s_map, point.s_rec]
@@ -175,30 +191,149 @@ def test_planted_isometry_violation_inside_a_stack():
         isometry_superops(v, 2, 4)
 
 
-def test_random_cptp_stack_equals_random_cptp_bit_for_bit():
-    envs = [2, 4, 2, 3, 4, 2, 1]
-    stack, labels = random_cptp_stack(2, envs, [rng_substream(73, i) for i in range(7)])
-    for i, env in enumerate(envs):
-        ch = random_cptp(2, env, rng_substream(73, i))
+# Each stack sampler next to its per-channel sampler, for rows i = 0..6.
+KS = [1, 2, 3, 4, 2, 1, 3]
+ALPHAS = [0.0, 0.25, 1.0, 0.5, 0.125, 1.0 / 3.0, 0.75]
+SAMPLERS = {
+    "random_cptp": (
+        lambda rngs, index: random_cptp_stack(3, [3, 9, 1, 2, 9, 3, 4], rngs, index=index),
+        lambda i, rng: random_cptp(3, [3, 9, 1, 2, 9, 3, 4][i], rng),
+    ),
+    "random_bistochastic": (
+        lambda rngs, index: zoo.random_bistochastic_stack(3, KS, rngs, index=index),
+        lambda i, rng: zoo.random_bistochastic(3, KS[i], rng),
+    ),
+    "random_pauli": (zoo.random_pauli_stack, lambda i, rng: zoo.random_pauli_channel(rng)),
+    "random_interval": (zoo.random_interval_stack, lambda i, rng: zoo.random_interval_channel(rng)),
+    "random_reshuffle_invariant": (
+        zoo.random_reshuffle_invariant_stack,
+        lambda i, rng: zoo.random_reshuffle_invariant(rng),
+    ),
+    "depolarizing": (
+        lambda rngs, index: zoo.depolarizing_stack(4, ALPHAS),
+        lambda i, rng: depolarizing(4, ALPHAS[i]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_stack_samplers_equal_their_per_channel_samplers(name):
+    stack_sampler, single = SAMPLERS[name]
+    index = range(100, 107)
+    stack, labels = stack_sampler([rng_substream(73, i) for i in range(7)], index=index)
+    assert len(stack) == len(labels) == 7
+    for i in range(7):
+        ch = single(i, rng_substream(73, i))
         assert np.array_equal(stack.superop[i], ch.superop)
         assert np.array_equal(stack.choi_eigenvalues[i], ch.choi_eigenvalues)
         assert np.array_equal(stack.singular_values[i], ch.singular_values)
         assert labels[i] == ch.label
-    assert np.array_equal(
-        haar_isometries(6, 3, [rng_substream(74, 0)])[0], haar_isometry(6, 3, rng_substream(74, 0))
-    )
+        assert ch.meta == ({"interval": True} if name == "random_interval" else {})
+
+    # A planted non-TP row is named by its index; depolarizing_stack takes
+    # no index, so it names the position.
+    real = zoo.ChannelStack
+
+    def planted(superops, dim, **kwargs):
+        superops = np.array(superops)
+        superops[4] *= 1.5
+        return real(superops, dim, **kwargs)
+
+    where = 4 if name == "depolarizing" else 104
+    with mock.patch.object(zoo, "ChannelStack", planted):
+        with pytest.raises(ValidationError, match=rf"^channel {where}: TP fails"):
+            stack_sampler([rng_substream(73, i) for i in range(7)], index=index)
 
 
-def test_joined_stacks_keep_their_validated_arrays():
-    parts = [depolarizing(3, a).stack for a in (0.0, 0.5, 1.0)]
-    joined = ChannelStack.join(parts)
-    assert len(joined) == 3
-    for i, part in enumerate(parts):
-        assert np.array_equal(joined.choi_eigenvalues[i], part.choi_eigenvalues[0])
-        assert np.array_equal(joined.singular_values[i], part.singular_values[0])
-    assert not joined.superop.flags.writeable
-    with pytest.raises(ValueError):
-        ChannelStack.join([depolarizing(2, 0.5).stack, depolarizing(3, 0.5).stack])
+def _reference_superop(name, i, rng):
+    """Superoperator of row ``i`` by the formulas of the per-channel code
+    the stacked kernels replaced: np.kron, a Kraus einsum, scalar states."""
+    if name == "random_bistochastic":
+        superop = np.zeros((9, 9), dtype=complex)
+        for w in rng.dirichlet(np.ones(KS[i])):
+            u = haar_isometry(3, 3, rng)
+            superop += w * np.kron(u, u.conj())
+        return superop
+    if name == "random_pauli":
+        p = rng.dirichlet(np.ones(4))
+        ops = np.array([np.sqrt(w) * s for w, s in zip(p, zoo.PAULI)])
+        return np.einsum("ikm,iln->klmn", ops, ops.conj()).reshape(4, 4)
+    if name == "random_interval":
+        a, b = rng.uniform(), rng.uniform()
+        phases = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 2.0 * np.pi)
+        superop = np.zeros((4, 4), dtype=complex)
+        for col, w, phase in ((0, a, phases[0]), (3, b, phases[1])):
+            off = math.sqrt(w * (1.0 - w))
+            superop[:, col] = [w, off * np.exp(1j * phase), off * np.exp(-1j * phase), 1.0 - w]
+        return superop
+    if name == "random_reshuffle_invariant":
+        e1, e2, e3 = (float(x) for x in rng.dirichlet(np.ones(3)))
+        base = np.array(
+            [
+                [(1.0 + e3) / 2.0, 0.0, 0.0, (1.0 - e3) / 2.0],
+                [0.0, (e1 + e2) / 2.0, (e1 - e2) / 2.0, 0.0],
+                [0.0, (e1 - e2) / 2.0, (e1 + e2) / 2.0, 0.0],
+                [(1.0 - e3) / 2.0, 0.0, 0.0, (1.0 + e3) / 2.0],
+            ],
+            dtype=complex,
+        )
+        u = haar_isometry(2, 2, rng)
+        w = np.kron(u, u.conj())
+        return w @ base @ w.conj().T
+    eye_vec = np.eye(4, dtype=complex).reshape(-1)
+    return ALPHAS[i] * np.eye(16) + (1.0 - ALPHAS[i]) * np.outer(eye_vec / 4, eye_vec)
+
+
+@pytest.mark.parametrize("name", sorted(set(SAMPLERS) - {"random_cptp"}))
+def test_stack_kernels_keep_the_per_channel_arithmetic(name):
+    # Same bits, not just close: scan bytes must not move when an ensemble
+    # is drawn as a stack instead of one channel at a time.
+    stack, _ = SAMPLERS[name][0]([rng_substream(78, i) for i in range(7)], index=range(7))
+    for i in range(7):
+        assert np.array_equal(stack.superop[i], _reference_superop(name, i, rng_substream(78, i)))
+
+
+@pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
+def test_a_scan_builds_no_channel_one_at_a_time(ensemble, tmp_path):
+    calls = []
+    real = Channel.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--ensemble", ensemble, "--n", "9", "--q", "2", "--out", str(out)]
+    with mock.patch.object(Channel, "__init__", counting):
+        assert main(argv) == 0
+        assert calls == []
+        zoo.identity_channel(2)  # the counter sees a channel built on its own
+    assert len(calls) == 1
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 10
+
+
+def test_stack_rows_are_channels_that_compute_their_own_spectra():
+    stack, labels = random_cptp_stack(2, [2, 4, 1], [rng_substream(77, i) for i in range(3)])
+    stack.singular_values, stack.output_eigenvalues  # noqa: B018 - fill the stack's caches
+    entropy.entropy_columns(stack, 2.0)
+    with mock.patch.object(ChannelStack, "__init__", side_effect=AssertionError("validated")):
+        rows = [stack.channel(i, label=labels[i], meta={"row": i}) for i in range(3)]
+    for i, ch in enumerate(rows):
+        assert ch.label == labels[i] and ch.meta == {"row": i} and len(ch.stack) == 1
+        assert ch.stack._singular_values is None and ch.stack._output_eigenvalues is None
+        assert ch.stack.entropy_cache == {}
+        for name in ChannelStack._VALIDATED:
+            assert not getattr(ch.stack, name).flags.writeable, name
+        fresh = Channel(stack.superop[i], 2, label=labels[i])
+        for name in ("superop", "choi", "choi_eigenvalues", "singular_values",
+                     "output_eigenvalues"):
+            assert np.array_equal(getattr(ch, name), getattr(fresh, name)), name
+        assert ch.cp and ch.tp and ch.choi_psd_tol == fresh.choi_psd_tol
+        assert entropy.entropy_point(ch, 2.0) == entropy.entropy_point(fresh, 2.0)
+    assert np.array_equal(stack.channel(-1).superop, rows[2].superop)
+    assert stack.channel().label is None and stack.channel().meta == {}
+    with pytest.raises(IndexError):
+        stack.channel(3)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,37 @@ def test_analyze_rejects_invalid_channel(tmp_path, capsys):
     assert "TP fails" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"dim": None, "form": "family", "family": {"name": "identity"}}, "dim"),
+        ({"dim": [2], "form": "family", "family": {"name": "identity"}}, "dim"),
+        ({"dim": 2.7, "form": "family", "family": {"name": "identity"}}, "dim"),
+        ({"dim": None, "form": "superoperator", "matrices": [np.eye(4).tolist()]}, "dim"),
+        ({"dim": 2.7, "form": "superoperator", "matrices": [np.eye(4).tolist()]}, "dim"),
+        ({"dim": 2, "form": "family", "family": {"name": "depolarizing",
+                                                  "params": {"alpha": None}}}, "'alpha'"),
+        ({"dim": 2, "form": "family", "family": {"name": "pauli", "params": {"p": 5}}}, "'p'"),
+    ],
+    ids=["dim_null", "dim_list", "dim_fraction", "superop_dim_null", "superop_dim_fraction",
+         "alpha_null", "pauli_p_scalar"],
+)
+def test_analyze_rejects_spec_values_of_the_wrong_type(tmp_path, capsys, doc, field):
+    spec = _write_spec(tmp_path, "spec.json", doc)
+    assert main(["analyze", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("error:") == 1 and err.endswith("\n")
+    assert err.count("\n") == 1 and field in err
+
+
+def test_load_channel_spec_accepts_integral_floats():
+    doc = {"dim": 2.0, "form": "family", "family": {"name": "random_bistochastic",
+                                                   "params": {"k": 3.0, "seed": 4}}}
+    ch = load_channel_spec(doc)
+    assert ch.label == "random_bistochastic(N=2,k=3)"
+    assert np.array_equal(ch.superop, load_channel_spec({**doc, "dim": 2}).superop)
+
+
 def test_load_channel_spec_family_dim_range():
     with pytest.raises(ValueError):
         load_channel_spec({"dim": 9, "form": "family", "family": {"name": "identity"}})
