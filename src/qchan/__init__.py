@@ -7,6 +7,8 @@ superoperator, Choi), the Rényi entropies of the rescaled Choi spectrum
 entanglement criteria for the associated Choi state.
 """
 
+import types as _types
+
 from .bounds import (
     CHECK_TOL,
     BoundRecord,
@@ -95,78 +97,9 @@ from .zoo import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHECK_TOL",
-    "BoundRecord",
-    "BoundReport",
-    "Channel",
-    "ChannelStack",
-    "EntropyPoint",
-    "SeparabilityVerdict",
-    "ValidationError",
-    "applicable_bound_ids",
-    "bloch_ellipsoid",
-    "check_probabilities",
-    "check_state",
-    "choi_to_kraus",
-    "classify_region",
-    "classify_regions",
-    "coarse_graining",
-    "complete_contraction",
-    "depolarizing",
-    "depolarizing_curve_point",
-    "entropy_point",
-    "evaluate_all",
-    "exchange_entropy",
-    "f_max",
-    "f_min",
-    "from_choi",
-    "from_environment",
-    "from_isometry",
-    "from_kraus",
-    "from_superoperator",
-    "g_min",
-    "haar_isometry",
-    "haar_unitary",
-    "hermitian_eigenvalues",
-    "identity_channel",
-    "identity_permutation",
-    "interval_channel",
-    "interval_channel_general",
-    "map_entropy",
-    "maximally_depolarizing",
-    "output_entropy",
-    "partial_transpose",
-    "pauli_channel",
-    "povm_entropy",
-    "ppt_test",
-    "q_norm",
-    "random_bistochastic",
-    "random_cptp",
-    "random_cptp_stack",
-    "random_density",
-    "random_interval_channel",
-    "random_pauli_channel",
-    "random_permutation",
-    "random_pure_state",
-    "random_reshuffle_invariant",
-    "realignment_test",
-    "receiver_entropy",
-    "receiver_upper_value",
-    "record",
-    "remix_kraus",
-    "renyi",
-    "reorder",
-    "reordered_entropy_bounds",
-    "reshuffle",
-    "reshuffle_invariant",
-    "reshuffle_permutation",
-    "rng_stream",
-    "rng_substream",
-    "separable_criteria",
-    "sigma1_variational",
-    "singular_values",
-    "spectral_entropy_bounds",
-    "spectrum_probabilities",
-    "spontaneous_emission",
-]
+# Every name imported above is public.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

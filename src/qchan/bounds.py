@@ -31,7 +31,7 @@ CHECK_TOL = 1e-8
 
 def q_ratio(q) -> float:
     """``q/(q-1)`` with the limits ``inf`` at ``q = 1`` and 1 at ``q = inf``."""
-    q = _check_order(q)
+    q = renyi_order(q, minimum=1.0)
     if math.isinf(q):
         return 1.0
     if q == 1.0:
@@ -53,13 +53,6 @@ def g_min(q) -> float:
     """``min(q/(2(q-1)), 2(q-1)/q)``: 0 at ``q = 1``, 1 at ``q = 2``, 1/2 at ``inf``."""
     r = q_ratio(q)
     return min(r / 2.0, 2.0 / r)
-
-
-def _check_order(q) -> float:
-    q = float(q)
-    if math.isnan(q) or q < 1.0:
-        raise ValueError(f"bound coefficients require q >= 1, got {q}")
-    return q
 
 
 @dataclass(frozen=True)
@@ -180,7 +173,7 @@ def spectral_entropy_bounds(x, q) -> list[BoundRecord]:
     ``ln(L/x1) <= S_q(x) <= q/(q-1) ln(L/x1)``.  At ``q = 1`` only the lower
     bound applies; ``q < 1`` is out of range.
     """
-    q = _check_order(q)
+    q = renyi_order(q, minimum=1.0)
     s = singular_values(x)
     lam = float(s.sum())
     if lam <= 0.0:
@@ -463,7 +456,7 @@ TABLE: tuple[Bound, ...] = (
 
 def applicable_bounds(q, interval: bool = False) -> list[Bound]:
     """Table rows of the bound report at order ``q``, sorted by id."""
-    q = _check_order(q)
+    q = renyi_order(q, minimum=1.0)
     rows = [b for b in TABLE if not b.separable and b.applies(q, interval)]
     return sorted(rows, key=lambda b: b.id)
 
@@ -562,7 +555,7 @@ def evaluate_all(ch: Channel, q) -> BoundReport:
     The interval-specific checks run only when the channel was constructed
     as an interval map.  Records are sorted by id.
     """
-    q = _check_order(q)
+    q = renyi_order(q, minimum=1.0)
     records: list[BoundRecord] = []
     for bound in applicable_bounds(q, bool(ch.meta.get("interval"))):
         try:

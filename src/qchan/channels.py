@@ -16,9 +16,9 @@ import numpy as np
 
 from .matcore import (
     HERM_TOL,
+    _square_side,
     as_complex_matrix,
     first_failure,
-    hermitian_eigenvalues,
     hermitian_part,
     reshuffle,
 )
@@ -199,7 +199,8 @@ class ChannelStack:
     def output_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of each ``Phi(1/N)``, descending, shape ``(B, N)``."""
         if self._output_eigenvalues is None:
-            w = hermitian_eigenvalues(self.output_state, herm_tol=1e-8)
+            # output_state is stored as (X + X^dag)/2, which is exactly Hermitian.
+            w = np.ascontiguousarray(np.linalg.eigvalsh(self.output_state)[:, ::-1])
             w.setflags(write=False)
             self._output_eigenvalues = w
         return self._output_eigenvalues
@@ -235,9 +236,8 @@ class Channel:
     The Choi matrix and its eigenvalues are computed at construction (they
     drive the CP/TP validation); singular values, the canonical Kraus set,
     and the eigenvalues of the image of the maximally mixed state are derived
-    on first access and cached.  Instances are immutable after ``__init__``
-    — the stored arrays are marked read-only — so sharing a channel between
-    threads that only read from it is safe.
+    on first access and cached.  Instances are immutable after ``__init__``:
+    the stored arrays are marked read-only.
 
     Parameters
     ----------
@@ -261,12 +261,7 @@ class Channel:
 
     def __init__(self, superop, dim=None, *, require_cptp=True, label=None, meta=None):
         superop = as_complex_matrix(superop)
-        rows, cols = superop.shape
-        if rows != cols:
-            raise ValueError(f"superoperator must be square, got {rows}x{cols}")
-        n = int(round(rows**0.5)) if dim is None else int(dim)
-        if n * n != rows:
-            raise ValueError(f"superoperator size {rows} is not a square of the dimension")
+        n = _square_side(superop, dim)
         self._set(ChannelStack(superop[None], n, require_cptp=require_cptp), label, meta)
 
     def _set(self, stack: ChannelStack, label, meta) -> None:
@@ -414,9 +409,7 @@ def from_superoperator(m, dim=None, *, permissive=False, label=None, meta=None) 
 
 def from_choi(d, dim=None, *, permissive=False, label=None, meta=None) -> Channel:
     """Build a channel from its dynamical (Choi) matrix ``D = N * omega``."""
-    d = as_complex_matrix(d)
-    n = int(round(d.shape[0] ** 0.5)) if dim is None else int(dim)
-    return Channel(reshuffle(d, n), n, require_cptp=not permissive, label=label, meta=meta)
+    return Channel(reshuffle(d, dim), dim, require_cptp=not permissive, label=label, meta=meta)
 
 
 def choi_to_kraus(choi, dim: int | None = None) -> list[np.ndarray]:
@@ -427,9 +420,7 @@ def choi_to_kraus(choi, dim: int | None = None) -> list[np.ndarray]:
     weight ``tr A_i^dag A_i``.
     """
     choi = as_complex_matrix(choi)
-    n = int(round(choi.shape[0] ** 0.5)) if dim is None else int(dim)
-    if n * n != choi.shape[0] or choi.shape[0] != choi.shape[1]:
-        raise ValueError(f"Choi matrix of shape {choi.shape} does not match dimension {n}")
+    n = _square_side(choi, dim)
     sym, ok, dev, scale = hermitian_part(choi)
     if not ok:
         raise ValidationError(f"Choi matrix is not Hermitian: |D - D^dag|_2 = {dev:.3e}")
@@ -461,11 +452,7 @@ def from_environment(u, dim: int, env_dim: int, *, label=None, meta=None) -> Cha
         raise ValueError(
             f"expected a {dim * env_dim}x{dim * env_dim} unitary, got {u.shape}"
         )
-    dev = np.linalg.norm(u.conj().T @ u - np.eye(dim * env_dim))
-    if dev > UNITARY_TOL:
-        raise ValidationError(
-            f"matrix is not unitary: |U^dag U - 1|_2 = {dev:.3e} (tolerance {UNITARY_TOL:.1e})"
-        )
+    _check_isometry(u, "matrix")
     return from_isometry(u[:, ::env_dim], dim, env_dim, label=label, meta=meta)
 
 
@@ -484,6 +471,22 @@ def from_isometry(v, dim: int, env_dim: int, *, label=None, meta=None) -> Channe
     return Channel(superop, dim, label=label, meta=meta)
 
 
+def _check_isometry(v: np.ndarray, what: str, *, index=None) -> None:
+    """Raise :class:`ValidationError` unless ``|V^dag V - 1|_2 <= UNITARY_TOL``
+    holds for the matrix ``v``, or for each matrix of a ``(B, m, k)`` stack,
+    where the first failure is named as channel ``index[i]`` (by default
+    ``i``) when ``B > 1``.  ``what`` names the matrix in the message."""
+    gram = v.swapaxes(-1, -2).conj() @ v
+    dev = np.linalg.norm(gram - np.eye(v.shape[-1]), axis=(-2, -1))
+    i = first_failure(dev <= UNITARY_TOL)
+    if i is not None:
+        where = _channel_name(i, index, len(v)) if v.ndim == 3 else ""
+        raise ValidationError(
+            f"{where}{what} is not an isometry: |V^dag V - 1|_2 = {dev.flat[i]:.3e} "
+            f"(tolerance {UNITARY_TOL:.1e})"
+        )
+
+
 def isometry_superops(v, dim: int, env_dim: int, *, index=None) -> np.ndarray:
     """Superoperators of a ``(B, N*d, N)`` stack of Stinespring isometries.
 
@@ -496,15 +499,7 @@ def isometry_superops(v, dim: int, env_dim: int, *, index=None) -> np.ndarray:
     """
     v = np.asarray(v, dtype=complex)
     b = v.shape[0]
-    gram = v.swapaxes(-1, -2).conj() @ v
-    dev = np.linalg.norm(gram - np.eye(dim), axis=(-2, -1))
-    i = first_failure(dev <= UNITARY_TOL)
-    if i is not None:
-        where = _channel_name(i, index, b)
-        raise ValidationError(
-            f"{where}matrix is not an isometry: |V^dag V - 1|_2 = {dev[i]:.3e} "
-            f"(tolerance {UNITARY_TOL:.1e})"
-        )
+    _check_isometry(v, "matrix", index=index)
     d = dim * dim
     blocks = v.reshape(b, dim, env_dim, dim)
     return np.einsum("bkim,blin->bklmn", blocks, blocks.conj()).reshape(b, d, d)
@@ -519,13 +514,9 @@ def remix_kraus(ops, v) -> list[np.ndarray]:
     """
     stack, _ = _check_kraus(ops)
     v = as_complex_matrix(v)
-    if v.ndim != 2 or v.shape[1] != stack.shape[0]:
+    if v.shape[1] != stack.shape[0]:
         raise ValidationError(
             f"remix matrix must have {stack.shape[0]} columns, got shape {v.shape}"
         )
-    dev = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))
-    if dev > UNITARY_TOL:
-        raise ValidationError(
-            f"remix matrix is not an isometry: |V^dag V - 1|_2 = {dev:.3e}"
-        )
+    _check_isometry(v, "remix matrix")
     return list(np.einsum("ji,ikl->jkl", v, stack))

@@ -192,7 +192,9 @@ def load_channel_spec(doc) -> Channel:
 
     Schema: ``{"dim": N, "form": "kraus"|"superoperator"|"choi"|"family",
     "matrices": [...], "family": {"name": ..., "params": {...}}}``.
-    Complex entries are ``[re, im]`` pairs, matrices row-major.
+    Complex entries are ``[re, im]`` pairs, matrices row-major.  The built
+    channel's dimension must equal a declared ``dim`` and lie in
+    ``DIM_LIMITS``.
     """
     if not isinstance(doc, dict):
         raise ValueError("channel spec must be a JSON object")
@@ -205,8 +207,9 @@ def load_channel_spec(doc) -> Channel:
         params = fam.get("params", {})
         if not isinstance(params, dict):
             raise ValueError('"params" must be an object')
-        return _build_family(str(fam["name"]), params, dim)
-    if form in ("kraus", "superoperator", "choi"):
+        ch = _build_family(str(fam["name"]), params, dim)
+        declared = dim if "dim" in doc else None
+    elif form in ("kraus", "superoperator", "choi"):
         mats = doc.get("matrices")
         if not isinstance(mats, list) or not mats:
             raise ValueError(f'form {form!r} needs a non-empty "matrices" list')
@@ -219,12 +222,14 @@ def load_channel_spec(doc) -> Channel:
                 raise ValueError(f"form {form!r} takes exactly one matrix, got {len(parsed)}")
             maker = from_superoperator if form == "superoperator" else from_choi
             ch = maker(parsed[0], dim=declared)
-        if declared is not None and ch.dim != declared:
-            raise ValueError(f"declared dim {declared} but matrices imply dim {ch.dim}")
-        return ch
-    raise ValueError(
-        f'unknown form {form!r}; expected "kraus", "superoperator", "choi" or "family"'
-    )
+    else:
+        raise ValueError(
+            f'unknown form {form!r}; expected "kraus", "superoperator", "choi" or "family"'
+        )
+    if declared is not None and ch.dim != declared:
+        raise ValueError(f"declared dim {declared} but the channel has dim {ch.dim}")
+    _check_dim(ch.dim, "dim")
+    return ch
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +636,12 @@ def _verify_zoo(n: int, seed: int) -> list[_CheckResult]:
         )
     for i in range(min(n, 100)):
         rng = zoo.rng_substream(seed, 30_000 + i)
-        for ch in (zoo.random_interval_channel(rng), zoo.random_pauli_channel(rng)):
-            valid.add(0.0 if (ch.cp and ch.tp) else -1.0, f"seed={seed},index={i},label={ch.label}")
+        for sample in (zoo.random_interval_channel, zoo.random_pauli_channel):
+            # a sampled channel passed validation; a failed one raised
+            try:
+                valid.add(0.0, f"seed={seed},index={i},label={sample(rng).label}")
+            except ValidationError as exc:
+                valid.add(-1.0, f"seed={seed},index={i},error={exc}")
     return [conj, rinv, twirl, curve, valid]
 
 

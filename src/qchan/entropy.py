@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import SPECTRUM_ZERO_RTOL, first_failure, hermitian_eigenvalues
+from .matcore import PAULI, SPECTRUM_ZERO_RTOL, first_failure, hermitian_eigenvalues
 from .channels import Channel, ChannelStack, ValidationError, _check_kraus, check_state
-from .zoo import PAULI
 
 # |q - 1| below this window routes to the Shannon limit of the Rényi formula.
 Q_ONE_WINDOW = 1e-6
@@ -74,11 +73,14 @@ def renyi(p, q):
     return float(value) if p.ndim == 1 else value
 
 
-def renyi_order(q) -> float:
-    """Validate a Rényi order (``q >= 0``, ``math.inf`` allowed)."""
+def renyi_order(q, minimum: float = 0.0) -> float:
+    """Validate a Rényi order: ``q >= minimum``, ``math.inf`` allowed.
+
+    Entropies take any ``q >= 0``; the trade-off bounds need ``q >= 1``.
+    """
     q = float(q)
-    if math.isnan(q) or q < 0:
-        raise ValueError(f"Rényi order must be >= 0, got {q}")
+    if math.isnan(q) or q < minimum:
+        raise ValueError(f"Rényi order must be >= {minimum:g}, got {q}")
     return q
 
 

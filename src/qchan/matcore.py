@@ -17,6 +17,14 @@ HERM_TOL = 1e-10
 # zeros by the entropy layer (kept in the vector, never fed to a logarithm).
 SPECTRUM_ZERO_RTOL = 1e-12
 
+# The identity and the three Pauli matrices, in the order 1, X, Y, Z.
+PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a 2-D complex array, rejecting NaN/Inf entries."""
@@ -29,10 +37,13 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def _square_side(m: np.ndarray, block: int | None) -> int:
-    rows, cols = m.shape
-    if rows != cols:
-        raise ValueError(f"expected a square matrix, got {rows}x{cols}")
-    side = math.isqrt(rows) if block is None else block
+    """Side ``n`` of an ``n^2 x n^2`` matrix, or of each in a stack (the last
+    two axes): ``int(block)``, or the integer square root when ``block`` is
+    ``None``.  Anything else raises ``ValueError``."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    rows = m.shape[-1]
+    side = math.isqrt(rows) if block is None else int(block)
     if side * side != rows:
         raise ValueError(f"matrix size {rows} is not the square of block size {side}")
     return side

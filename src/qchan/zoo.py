@@ -2,7 +2,7 @@
 
 Random sampling goes through ``numpy.random.Generator`` streams only; see
 :func:`rng_stream` and :func:`rng_substream` for the seeding conventions that
-make scans reproducible independently of scheduling.
+make scans reproducible independently of chunk size.
 """
 
 from __future__ import annotations
@@ -11,15 +11,9 @@ import math
 
 import numpy as np
 
-from .channels import Channel, ChannelStack, check_state, isometry_superops
-from .matcore import as_complex_matrix
-
-PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+from .channels import Channel, ChannelStack, _check_isometry, check_state, isometry_superops
+from .entropy import check_probabilities
+from .matcore import PAULI, as_complex_matrix
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -30,10 +24,8 @@ def rng_stream(seed: int) -> np.random.Generator:
 
 
 def rng_substream(seed: int, index: int) -> np.random.Generator:
-    """Independent per-index stream, so parallel scans are schedule-free.
-
-    Worker ``index`` always sees the same stream no matter how many threads
-    run or in which order the samples are processed.
+    """Independent per-index stream: sample ``index`` always sees the same
+    draws, whatever the chunk it is sampled in and the order of the samples.
     """
     return np.random.default_rng(np.random.SeedSequence((int(seed) & _SEED_MASK, int(index))))
 
@@ -105,8 +97,9 @@ def maximally_depolarizing(dim: int) -> Channel:
 def pauli_channel(p) -> Channel:
     """Qubit mixture of Pauli conjugations with weights ``p = (p0, p1, p2, p3)``."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (4,) or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError(f"need four non-negative weights summing to 1, got {p}")
+    if p.shape != (4,):
+        raise ValueError(f"need four weights, got shape {p.shape}")
+    check_probabilities(p)
     return _single(_pauli_stack(p[None]))
 
 
@@ -176,9 +169,7 @@ def reshuffle_invariant(eta, u=None) -> Channel:
         u = as_complex_matrix(u)
         if u.shape != (2, 2):
             raise ValueError(f"conjugating unitary must be 2x2, got {u.shape}")
-        dev = np.linalg.norm(u.conj().T @ u - np.eye(2))
-        if dev > 1e-10:
-            raise ValueError(f"conjugating matrix is not unitary: deviation {dev:.3e}")
+        _check_isometry(u, "conjugating matrix")
         u = u[None]
     return _single(_reshuffle_invariant_stack(eta[None], u))
 

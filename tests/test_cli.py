@@ -3,15 +3,18 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qchan import bounds, cli
+from qchan import bounds, cli, zoo
 from qchan.channels import Channel
 from qchan.cli import SCAN_BASE_COLUMNS, load_channel_spec, main
 
 LN2 = math.log(2.0)
+GOLDEN = Path(__file__).parent / "data" / "parent_cli.txt"
 
 
 def test_module_entry_point():
@@ -179,6 +182,44 @@ def test_load_channel_spec_family_dim_range():
         load_channel_spec({"dim": 9, "form": "family", "family": {"name": "identity"}})
     with pytest.raises(ValueError):
         load_channel_spec({"dim": 1, "form": "family", "family": {"name": "identity"}})
+
+
+XI = [[0.5, 0.0], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"form": "kraus", "matrices": [[[1]]]},
+        {"dim": 1, "form": "kraus", "matrices": [[[1]]]},
+        {"dim": 1, "form": "superoperator", "matrices": [[[1]]]},
+        {"dim": 3, "form": "family", "family": {"name": "pauli",
+                                                "params": {"p": [0.4, 0.3, 0.2, 0.1]}}},
+        {"dim": 5, "form": "family", "family": {"name": "interval",
+                                                "params": {"alpha": 0.3, "beta": 0.6}}},
+        {"dim": 4, "form": "family", "family": {"name": "complete_contraction",
+                                                "params": {"xi": XI}}},
+    ],
+    ids=["kraus_1x1", "kraus_dim_1", "superop_dim_1", "pauli_dim_3", "interval_dim_5",
+         "contraction_dim_4"],
+)
+def test_analyze_checks_the_dim_of_the_built_channel(tmp_path, capsys, doc):
+    spec = _write_spec(tmp_path, "spec.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        assert main(["analyze", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "dim" in captured.err
+
+
+def test_analyze_accepts_a_family_that_sets_its_own_dim(tmp_path, capsys):
+    # without a declared dim, the channel's own size counts
+    xi = (np.eye(3) / 3).tolist()
+    doc = {"form": "family", "family": {"name": "complete_contraction", "params": {"xi": xi}}}
+    assert main(["analyze", "--spec", _write_spec(tmp_path, "spec.json", doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +429,19 @@ def test_verify_inject_invalid_is_caught(capsys):
     assert "reproducer=injected" in out
 
 
+def test_verify_zoo_fails_a_family_that_does_not_validate(capsys, monkeypatch):
+    def inflated(rngs, *, index=None):  # Pauli weights that sum to 1.5
+        p = np.array([rng.dirichlet(np.ones(4)) for rng in rngs])
+        return zoo._pauli_stack(1.5 * p, index)
+
+    monkeypatch.setattr(zoo, "random_pauli_stack", inflated)
+    assert main(["verify", "--suite", "zoo", "--n", "4", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL zoo.families_pass_validation checks=8 worst_slack=-1.000000e+00 " in out
+    assert "reproducer=seed=0,index=0,error=TP fails" in out
+    assert out.endswith("verify: 4 passed, 1 failed (suite=zoo, n=4, seed=0)\n")
+
+
 def test_verify_check_fails_on_a_nan_slack():
     check = cli._CheckResult("planted")
     check.add(0.5, "finite")
@@ -443,3 +497,61 @@ def test_verify_sigma1_oracle_catches_a_low_svd(capsys, monkeypatch):
     monkeypatch.setattr(Channel, "sigma1", property(lambda ch: true_sigma1.fget(ch) - 1e-6))
     assert main(["verify", "--suite", "bounds", "--n", "4", "--seed", "0"]) == 1
     assert "FAIL bounds.sigma1_oracle_one_sided checks=4 " in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# golden output
+
+
+def _golden_blocks():
+    blocks = []
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        if line.startswith(("# verify ", "# analyze ")):
+            blocks.append((line[2:], []))
+        elif not line.startswith("#"):
+            blocks[-1][1].append(line)
+    return blocks
+
+
+def _tokens(line: str) -> list:
+    """A verify line as words and ``[key, number]`` pairs."""
+    out = []
+    for word in line.split():
+        key, _, value = word.partition("=")
+        try:
+            out.append([key, float(value)])
+        except ValueError:
+            out.append(word)
+    return out
+
+
+def _assert_close(old, new, where=()):
+    """Strings, names and ids equal; numbers within 1e-12 (1 + |x|)."""
+    if isinstance(old, float):
+        assert isinstance(new, float), where
+        assert old == new or abs(old - new) <= 1e-12 * (1.0 + abs(old)), (where, old, new)
+    elif isinstance(old, dict):
+        assert old.keys() == new.keys(), where
+        for key in old:
+            _assert_close(old[key], new[key], where + (key,))
+    elif isinstance(old, list):
+        assert isinstance(new, list) and len(old) == len(new), where
+        for i, (a, b) in enumerate(zip(old, new)):
+            _assert_close(a, b, where + (i,))
+    else:
+        assert old == new, (where, old, new)
+
+
+def test_cli_matches_the_parent_golden_output(tmp_path, capsys):
+    blocks = _golden_blocks()
+    assert len(blocks) == 12
+    for command, expected in blocks:
+        if command.startswith("analyze"):
+            argv = command.split(" ", 3)
+            spec = _write_spec(tmp_path, "spec.json", json.loads(argv.pop()))
+            assert main(argv + ["--spec", spec]) == 0
+            _assert_close(json.loads("\n".join(expected)), json.loads(capsys.readouterr().out))
+        else:
+            assert main(command.split()) == 0
+            got = capsys.readouterr().out.splitlines()
+            _assert_close([_tokens(x) for x in expected], [_tokens(x) for x in got], (command,))
