@@ -21,8 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .channels import Channel, ChannelStack, ValidationError
-from .entropy import Q_ONE_WINDOW, entropies, renyi, renyi_order, spectrum_probabilities
-from .matcore import first_failure, reorder, singular_values
+from .entropy import Q_ONE_WINDOW, entropies, renyi, spectrum_probabilities
+from .matcore import first_failure, renyi_order, reorder, singular_values
 from .zoo import rng_stream
 
 # Bound satisfaction margin: slack >= -CHECK_TOL counts as satisfied.

@@ -28,7 +28,9 @@ import numpy as np
 
 from . import bounds, entropy, separability, zoo
 from .bounds import json_safe
-from .channels import Channel, ValidationError, from_choi, from_kraus, from_superoperator
+from .channels import Channel, ChannelStack, ValidationError
+from .channels import from_choi, from_kraus, from_superoperator
+from .matcore import renyi_order
 
 FAMILY_NAMES = (
     "identity",
@@ -88,9 +90,7 @@ def _parse_q(text: str) -> float:
         q = float(t)
     except ValueError:
         raise ValueError(f"cannot parse Rényi order {text!r}") from None
-    if math.isnan(q) or q < 0.0:
-        raise ValueError(f"Rényi order must be >= 0 or 'inf', got {text!r}")
-    return q
+    return renyi_order(q)
 
 
 def _parse_q_list(text: str) -> list[float]:
@@ -473,11 +473,28 @@ class _CheckResult:
         self.failures: list[str] = []
 
     def add(self, slack: float, reproducer: str, tol: float = 0.0) -> None:
-        self.checks += 1
-        if slack < self.worst_slack or math.isnan(slack):
-            self.worst_slack = slack
-        if not slack >= -tol:  # a nan slack fails too
-            self.failures.append(reproducer)
+        self._tally(1, slack, None if slack >= -tol else reproducer)
+
+    def add_column(self, slacks, reproducer, tol=0.0) -> None:
+        """Add one check per entry of ``slacks``, in C order.
+
+        ``tol`` broadcasts against ``slacks``.  ``reproducer(k)`` names check
+        ``k`` and is called for the first failing check only.
+        """
+        slacks = np.asarray(slacks, dtype=float)
+        if slacks.size:
+            bad = np.flatnonzero(~(slacks >= -np.asarray(tol)))
+            failure = reproducer(int(bad[0])) if bad.size else None
+            self._tally(slacks.size, float(slacks.min()), failure)
+
+    def _tally(self, count: int, low: float, failure) -> None:
+        # low is the smallest slack, nan when any is nan; a nan sticks and
+        # fails, since it never compares >= -tol.
+        self.checks += count
+        if low < self.worst_slack or math.isnan(low):
+            self.worst_slack = low
+        if failure is not None:
+            self.failures.append(failure)
 
     @property
     def failed(self) -> bool:
@@ -493,43 +510,101 @@ class _CheckResult:
         return text
 
 
-def _mixed_qubit_channel(seed: int, index: int) -> Channel:
-    rng = zoo.rng_substream(seed, index)
-    kind = index % 4
-    if kind == 0:
-        return zoo.random_cptp(2, 2, rng)
-    if kind == 1:
-        return zoo.random_cptp(2, 4, rng)
-    if kind == 2:
-        return zoo.random_pauli_channel(rng)
-    return zoo.random_bistochastic(2, index % 3 + 1, rng)
+def _mixed_qubit_stacks(seed: int, n: int) -> list[tuple[ChannelStack, list[int]]]:
+    """Qubit channels ``0..n-1`` as ``(stack, indices)`` groups, one per sampler.
+
+    Channel ``i`` draws from ``rng_substream(seed, i)``.  By ``i % 4`` it is
+    a random CPTP map with a 2-level (0) or 4-level (1) environment, a
+    random Pauli channel (2), or a mixture of ``i % 3 + 1`` Haar unitary
+    conjugations (3).  Empty groups are left out.
+    """
+    groups = []
+    for kinds in ((0, 1), (2,), (3,)):
+        idx = [i for i in range(n) if i % 4 in kinds]
+        if not idx:
+            continue
+        rngs = [zoo.rng_substream(seed, i) for i in idx]
+        if kinds == (0, 1):
+            envs = [2 if i % 4 == 0 else 4 for i in idx]
+            stack, _ = zoo.random_cptp_stack(2, envs, rngs, index=idx)
+        elif kinds == (2,):
+            stack, _ = zoo.random_pauli_stack(rngs, index=idx)
+        else:
+            ks = [i % 3 + 1 for i in idx]
+            stack, _ = zoo.random_bistochastic_stack(2, ks, rngs, index=idx)
+        groups.append((stack, idx))
+    return groups
+
+
+def _bound_slacks(stack: ChannelStack, q: float, bound) -> tuple[np.ndarray, list[int]]:
+    """Slack of ``bound`` on each channel of ``stack``, and the rows where it raised.
+
+    A bound that raises on the stack is evaluated again one row at a time;
+    a row that raises gets a nan slack, as its ``<id>_error`` record in
+    :func:`bounds.evaluate_all` has.
+    """
+    try:
+        return bounds.bound_columns(stack, q, bound)[2], []
+    except Exception:  # noqa: BLE001 - retried row by row below
+        pass
+    slack = np.full(len(stack), math.nan)
+    raised = []
+    for r in range(len(stack)):
+        try:
+            slack[r] = bounds.bound_columns(stack.channel(r).stack, q, bound)[2][0]
+        except Exception:  # noqa: BLE001 - reported as an error record, never lost
+            raised.append(r)
+    return slack, raised
 
 
 def _verify_bounds(n: int, seed: int) -> list[_CheckResult]:
     suite = _CheckResult("bounds.report_all_orders")
     floor = _CheckResult("bounds.bistochastic_floor")
     oracle = _CheckResult("bounds.sigma1_oracle_one_sided")
-    for i in range(n):
-        ch = _mixed_qubit_channel(seed, i)
-        for q in (1.0, 1.5, 2.0, math.inf):
-            report = bounds.evaluate_all(ch, q)
-            for r in report.records:
-                suite.add(r.slack, f"seed={seed},index={i},q={q},id={r.id}", bounds.CHECK_TOL)
-    for i in range(n):
-        rng = zoo.rng_substream(seed, 10_000 + i)
-        ch = zoo.random_bistochastic(2, i % 4 + 1, rng)
-        floor.add(1e-9 - abs(ch.sigma1 - 1.0), f"seed={seed},index={i},sigma1={ch.sigma1:.12g}")
-        for q in (1.0, 2.0):
-            total = entropy.map_entropy(ch, q) + entropy.receiver_entropy(ch, q)
-            floor.add(
-                total - bounds.f_min(q) * math.log(2.0),
-                f"seed={seed},index={i},q={q},sum={total:.12g}",
-                bounds.CHECK_TOL,
-            )
-    for i in range(min(n, 50)):
-        ch = _mixed_qubit_channel(seed + 1, i)
-        est = bounds.sigma1_variational(ch, budget=500, seed=seed + i)
-        oracle.add(ch.sigma1 + 1e-9 - est, f"seed={seed},index={i},est={est:.12g}")
+
+    # One column per (q, bound id) of the report at each order, so the flat
+    # order of the (channel, column) slacks is (index, q, id).
+    columns = [(q, b) for q in (1.0, 1.5, 2.0, math.inf) for b in bounds.applicable_bounds(q)]
+    slack = np.empty((n, len(columns)))
+    errors = {}  # (index, column) -> id of an error record
+    for stack, idx in _mixed_qubit_stacks(seed, n):
+        for j, (q, bound) in enumerate(columns):
+            slack[idx, j], raised = _bound_slacks(stack, q, bound)
+            errors.update({(idx[r], j): f"{bound.id}_error" for r in raised})
+
+    def report_case(k: int) -> str:
+        i, j = divmod(k, len(columns))
+        q, bound = columns[j]
+        return f"seed={seed},index={i},q={q},id={errors.get((i, j), bound.id)}"
+
+    suite.add_column(slack, report_case, bounds.CHECK_TOL)
+
+    rngs = [zoo.rng_substream(seed, 10_000 + i) for i in range(n)]
+    stack, _ = zoo.random_bistochastic_stack(2, [i % 4 + 1 for i in range(n)], rngs)
+    sums = [
+        entropy.entropies(stack, "map", q) + entropy.entropies(stack, "receiver", q)
+        for q in (1.0, 2.0)
+    ]
+    floor_slack = [1e-9 - np.abs(stack.sigma1 - 1.0)]
+    floor_slack += [total - bounds.f_min(q) * math.log(2.0) for q, total in zip((1.0, 2.0), sums)]
+
+    def floor_case(k: int) -> str:
+        i, c = divmod(k, 3)
+        if c == 0:
+            return f"seed={seed},index={i},sigma1={stack.sigma1[i]:.12g}"
+        return f"seed={seed},index={i},q={(1.0, 2.0)[c - 1]},sum={sums[c - 1][i]:.12g}"
+
+    tols = [0.0, bounds.CHECK_TOL, bounds.CHECK_TOL]
+    floor.add_column(np.column_stack(floor_slack), floor_case, tols)
+
+    m = min(n, 50)
+    est, oracle_slack = np.empty(m), np.empty(m)
+    for stack, idx in _mixed_qubit_stacks(seed + 1, m):
+        for r, i in enumerate(idx):
+            ch = stack.channel(r)
+            est[i] = bounds.sigma1_variational(ch, budget=500, seed=seed + i)
+            oracle_slack[i] = ch.sigma1 + 1e-9 - est[i]
+    oracle.add_column(oracle_slack, lambda k: f"seed={seed},index={k},est={est[k]:.12g}")
     return [suite, floor, oracle]
 
 
@@ -563,29 +638,42 @@ def _verify_separability(n: int, seed: int) -> list[_CheckResult]:
     soundness = _CheckResult("separability.ppt_implies_criteria")
     realign = _CheckResult("separability.ppt_implies_realignment")
     examples = _CheckResult("separability.region_examples")
-    for i in range(n):
-        ch = _mixed_qubit_channel(seed, i)
-        _, ppt = separability.ppt_test(ch)
-        if not ppt:
-            continue
-        value, _ = separability.realignment_test(ch)
-        realign.add(
-            1.0 + separability.REALIGNMENT_TOL - value, f"seed={seed},index={i},value={value:.12g}"
+    orders = (1.5, 2.0)
+    ppt, value = np.zeros(n, dtype=bool), np.empty(n)
+    criteria = np.empty((n, len(orders), len(separability.CRITERIA)))
+    for stack, idx in _mixed_qubit_stacks(seed, n):
+        ppt[idx] = separability.ppt_stack(stack)[1]
+        value[idx] = stack.lambda_phi / stack.dim
+        for a, q in enumerate(orders):
+            for b, bound in enumerate(separability.CRITERIA):
+                criteria[idx, a, b] = bounds.bound_columns(stack, q, bound)[2]
+    # Separable (PPT) qubit channels must pass realignment and the criteria.
+    rows = np.flatnonzero(ppt)
+    realign.add_column(
+        1.0 + separability.REALIGNMENT_TOL - value[rows],
+        lambda k: f"seed={seed},index={rows[k]},value={value[rows[k]]:.12g}",
+    )
+
+    def criteria_case(k: int) -> str:
+        r, a, b = np.unravel_index(k, criteria[rows].shape)
+        q, rid = orders[a], separability.CRITERIA[b].id
+        return f"seed={seed},index={rows[r]},q={q},id={rid}"
+
+    soundness.add_column(criteria[rows], criteria_case, bounds.CHECK_TOL)
+
+    cases = [
+        (ch.label, want, separability.classify_region(ch, 2.0).region)
+        for ch, want in (
+            (zoo.identity_channel(2), "A"),
+            (zoo.maximally_depolarizing(2), "C"),
+            (zoo.coarse_graining(2), "C"),
+            (zoo.depolarizing(2, 1.0 / 3.0), "C"),
         )
-        for q in (1.5, 2.0):
-            for r in separability.separable_criteria(ch, q):
-                soundness.add(r.slack, f"seed={seed},index={i},q={q},id={r.id}", bounds.CHECK_TOL)
-    expected = [
-        (zoo.identity_channel(2), "A"),
-        (zoo.maximally_depolarizing(2), "C"),
-        (zoo.coarse_graining(2), "C"),
-        (zoo.depolarizing(2, 1.0 / 3.0), "C"),
     ]
-    for ch, want in expected:
-        got = separability.classify_region(ch, 2.0).region
-        examples.add(
-            0.0 if got == want else -1.0, f"label={ch.label},expected={want},got={got}"
-        )
+    examples.add_column(
+        [0.0 if got == want else -1.0 for _, want, got in cases],
+        lambda k: "label={},expected={},got={}".format(*cases[k]),
+    )
     return [soundness, realign, examples]
 
 
@@ -597,6 +685,7 @@ def _verify_zoo(n: int, seed: int) -> list[_CheckResult]:
     twirl = _CheckResult("zoo.pauli_uniform_is_depolarizing")
     curve = _CheckResult("zoo.depolarizing_curve_consistency")
     valid = _CheckResult("zoo.families_pass_validation")
+    devs = []
     for i in range(n):
         rng = zoo.rng_substream(seed, i)
         sub = int(rng.integers(2, 4))
@@ -609,39 +698,52 @@ def _verify_zoo(n: int, seed: int) -> list[_CheckResult]:
         )
         lhs = reshuffle(np.kron(xs[0], xs[1]) @ y @ np.kron(xs[2], xs[3]))
         rhs = np.kron(xs[0], xs[2].T) @ reshuffle(y) @ np.kron(xs[1].T, xs[3])
-        dev = float(np.linalg.norm(lhs - rhs))
-        conj.add(1e-12 - dev, f"seed={seed},index={i},dev={dev:.3e}")
-    for i in range(n):
-        rng = zoo.rng_substream(seed, 20_000 + i)
-        ch = zoo.random_reshuffle_invariant(rng)
-        dev = float(np.linalg.norm(ch.choi - ch.superop))
-        rinv.add(1e-10 - dev, f"seed={seed},index={i},dev={dev:.3e}")
-        ent_dev = abs(entropy.map_entropy(ch, 2.0) - entropy.receiver_entropy(ch, 2.0))
-        rinv.add(1e-10 - ent_dev, f"seed={seed},index={i},entropy_dev={ent_dev:.3e}")
-    dev = float(
+        devs.append(float(np.linalg.norm(lhs - rhs)))
+    conj.add_column(
+        1e-12 - np.array(devs), lambda k: f"seed={seed},index={k},dev={devs[k]:.3e}"
+    )
+
+    stack, _ = zoo.random_reshuffle_invariant_stack(
+        [zoo.rng_substream(seed, 20_000 + i) for i in range(n)]
+    )
+    # one matrix at a time, so the norm adds up its entries as for one channel
+    dev = np.array([np.linalg.norm(stack.choi[r] - stack.superop[r]) for r in range(n)])
+    s_map, s_rec = (entropy.entropies(stack, kind, 2.0) for kind in ("map", "receiver"))
+    ent_dev = np.abs(s_map - s_rec)
+    rinv.add_column(
+        1e-10 - np.column_stack([dev, ent_dev]),
+        lambda k: f"seed={seed},index={k // 2},"
+        + (f"dev={dev[k // 2]:.3e}" if k % 2 == 0 else f"entropy_dev={ent_dev[k // 2]:.3e}"),
+    )
+
+    twirl_dev = float(
         np.linalg.norm(
             zoo.pauli_channel([0.25, 0.25, 0.25, 0.25]).superop - zoo.depolarizing(2, 0.0).superop
         )
     )
-    twirl.add(1e-12 - dev, f"dev={dev:.3e}")
-    for i in range(101):
-        alpha = i / 100.0
-        s_map, s_rec = zoo.depolarizing_curve_point(alpha)
-        ch = zoo.depolarizing(2, alpha)
-        curve.add(
-            1e-10 - abs(s_map - entropy.map_entropy(ch, 1.0)), f"alpha={alpha:.2f},side=map"
-        )
-        curve.add(
-            1e-10 - abs(s_rec - entropy.receiver_entropy(ch, 1.0)), f"alpha={alpha:.2f},side=rec"
-        )
+    twirl.add_column([1e-12 - twirl_dev], lambda k: f"dev={twirl_dev:.3e}")
+
+    alphas = [i / 100.0 for i in range(101)]
+    stack, _ = zoo.depolarizing_stack(2, alphas)
+    exact = np.array([zoo.depolarizing_curve_point(alpha) for alpha in alphas])
+    got = np.column_stack(
+        [entropy.entropies(stack, "map", 1.0), entropy.entropies(stack, "receiver", 1.0)]
+    )
+    curve.add_column(
+        1e-10 - np.abs(exact - got),
+        lambda k: f"alpha={alphas[k // 2]:.2f},side={('map', 'rec')[k % 2]}",
+    )
+
+    errors = []  # None for a sample that passed validation
     for i in range(min(n, 100)):
         rng = zoo.rng_substream(seed, 30_000 + i)
         for sample in (zoo.random_interval_channel, zoo.random_pauli_channel):
-            # a sampled channel passed validation; a failed one raised
             try:
-                valid.add(0.0, f"seed={seed},index={i},label={sample(rng).label}")
+                sample(rng)
+                errors.append(None)
             except ValidationError as exc:
-                valid.add(-1.0, f"seed={seed},index={i},error={exc}")
+                errors.append(f"seed={seed},index={i},error={exc}")
+    valid.add_column([0.0 if e is None else -1.0 for e in errors], errors.__getitem__)
     return [conj, rinv, twirl, curve, valid]
 
 

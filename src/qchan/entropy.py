@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import PAULI, SPECTRUM_ZERO_RTOL, first_failure, hermitian_eigenvalues
+from .matcore import PAULI, SPECTRUM_ZERO_RTOL, first_failure, hermitian_eigenvalues, renyi_order
 from .channels import Channel, ChannelStack, ValidationError, _check_kraus, check_state
 
 # |q - 1| below this window routes to the Shannon limit of the Rényi formula.
@@ -71,17 +71,6 @@ def renyi(p, q):
     p = check_probabilities(p)
     value = _renyi(p, renyi_order(q))
     return float(value) if p.ndim == 1 else value
-
-
-def renyi_order(q, minimum: float = 0.0) -> float:
-    """Validate a Rényi order: ``q >= minimum``, ``math.inf`` allowed.
-
-    Entropies take any ``q >= 0``; the trade-off bounds need ``q >= 1``.
-    """
-    q = float(q)
-    if math.isnan(q) or q < minimum:
-        raise ValueError(f"Rényi order must be >= {minimum:g}, got {q}")
-    return q
 
 
 def _renyi(p: np.ndarray, q: float):

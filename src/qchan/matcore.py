@@ -38,12 +38,15 @@ def as_complex_matrix(m) -> np.ndarray:
 
 def _square_side(m: np.ndarray, block: int | None) -> int:
     """Side ``n`` of an ``n^2 x n^2`` matrix, or of each in a stack (the last
-    two axes): ``int(block)``, or the integer square root when ``block`` is
-    ``None``.  Anything else raises ``ValueError``."""
+    two axes): ``block``, which must be integral (``2.0`` passes, ``2.7``
+    does not), or the integer square root when ``block`` is ``None``.
+    Anything else raises ``ValueError``."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     rows = m.shape[-1]
     side = math.isqrt(rows) if block is None else int(block)
+    if block is not None and side != block:
+        raise ValueError(f"block size must be an integer, got {block!r}")
     if side * side != rows:
         raise ValueError(f"matrix size {rows} is not the square of block size {side}")
     return side
@@ -166,6 +169,18 @@ def hermitian_eigenvalues(h, herm_tol: float = HERM_TOL) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.eigvalsh(sym)[..., ::-1])
 
 
+def renyi_order(q, minimum: float = 0.0) -> float:
+    """Validate a Rényi order: ``q >= minimum``, ``math.inf`` allowed.
+
+    Entropies take any ``q >= 0``; the trade-off bounds and Schatten norms
+    need ``q >= 1``.
+    """
+    q = float(q)
+    if math.isnan(q) or q < minimum:
+        raise ValueError(f"Rényi order must be >= {minimum:g}, got {q}")
+    return q
+
+
 def q_norm(m, q) -> float:
     """Schatten q-norm ``(sum_i x_i^q)^(1/q)`` over the singular values of ``m``.
 
@@ -173,9 +188,7 @@ def q_norm(m, q) -> float:
     value selecting the largest singular value, and ``q = 1`` gives the trace
     norm.  The function is non-increasing in ``q``.
     """
-    q = float(q)
-    if math.isnan(q) or q < 1:
-        raise ValueError(f"q-norm requires q >= 1, got {q}")
+    q = renyi_order(q, minimum=1.0)
     s = singular_values(m)
     if math.isinf(q):
         return float(s[0])

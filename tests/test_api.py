@@ -1,7 +1,9 @@
 """The public surface: ``qchan.__all__``, the demos that use it, and the
 entry points that the benchmark's tracer patches."""
 
+import ast
 import importlib.util
+import re
 import runpy
 import sys
 import types
@@ -29,6 +31,28 @@ def test_every_public_attribute_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public - set(qchan.__all__) == set()
+
+
+def _imported_from_qchan(source: str) -> set[str]:
+    """Names in the ``from qchan import ...`` statements of ``source``."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "qchan"
+        for alias in node.names
+    }
+
+
+def test_names_the_demos_and_readme_import_are_exported():
+    # the demos and the README are what users copy, so they fix the surface
+    sources = [path.read_text(encoding="utf-8") for path in DEMOS]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources += re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    names = set().union(*map(_imported_from_qchan, sources))
+    package = Path(qchan.__file__).parent
+    functions = {name for name in names if not (package / f"{name}.py").exists()}
+    assert len(functions) >= 20
+    assert sorted(functions - set(qchan.__all__)) == []
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)

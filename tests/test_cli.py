@@ -15,6 +15,7 @@ from qchan.cli import SCAN_BASE_COLUMNS, load_channel_spec, main
 
 LN2 = math.log(2.0)
 GOLDEN = Path(__file__).parent / "data" / "parent_cli.txt"
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "parent_verify.txt"
 
 
 def test_module_entry_point():
@@ -497,6 +498,144 @@ def test_verify_sigma1_oracle_catches_a_low_svd(capsys, monkeypatch):
     monkeypatch.setattr(Channel, "sigma1", property(lambda ch: true_sigma1.fget(ch) - 1e-6))
     assert main(["verify", "--suite", "bounds", "--n", "4", "--seed", "0"]) == 1
     assert "FAIL bounds.sigma1_oracle_one_sided checks=4 " in capsys.readouterr().out
+
+
+def _reference_qubit_channel(seed, i):
+    """Channel ``i`` of the bounds and separability suites, drawn on its own."""
+    rng = zoo.rng_substream(seed, i)
+    if i % 4 == 2:
+        return zoo.random_pauli_channel(rng)
+    if i % 4 == 3:
+        return zoo.random_bistochastic(2, i % 3 + 1, rng)
+    return zoo.random_cptp(2, 2 if i % 4 == 0 else 4, rng)
+
+
+def _rows_like(stack, channels):
+    """Which channels of ``stack`` equal one of ``channels``."""
+    return np.array(
+        [any(np.allclose(s, ch.superop, rtol=0.0, atol=1e-12) for ch in channels)
+         for s in stack.superop],
+        dtype=bool,
+    )
+
+
+def test_verify_reports_the_lowest_index_q_and_id_of_a_violated_bound(capsys, monkeypatch):
+    # (index, q) where each planted bound fails; index 3 is drawn in the last
+    # sampler group, index 5 in the first one
+    planted = {
+        "map_rank_lower": {(5, 2.0), (3, math.inf), (9, 1.5)},
+        "receiver_self_lower": {(3, 1.5), (5, 1.0)},
+        "map_cross_lower": {(3, 1.5)},
+    }
+    table = list(bounds.TABLE)
+    for k, b in enumerate(table):
+        if b.id in planted:
+            def rhs(stack, q, rule=b.rhs, where=planted[b.id]):
+                bad = [_reference_qubit_channel(0, i) for i, at in where if at == q]
+                return rule(stack, q) + np.where(_rows_like(stack, bad), 1.0, 0.0)
+
+            table[k] = dataclasses.replace(b, rhs=rhs)
+    monkeypatch.setattr(bounds, "TABLE", tuple(table))
+
+    # the same violation read off one channel at a time
+    first = None
+    for i in range(12):
+        ch = _reference_qubit_channel(0, i)
+        for q in (1.0, 1.5, 2.0, math.inf):
+            failing = [r.id for r in bounds.evaluate_all(ch, q).records if not r.satisfied]
+            if failing and first is None:
+                first = f"seed=0,index={i},q={q},id={failing[0]}"
+    assert first == "seed=0,index=3,q=1.5,id=map_cross_lower"
+
+    assert main(["verify", "--suite", "bounds", "--n", "12", "--seed", "0"]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("FAIL bounds.report_all_orders checks=732 ")
+    assert line.endswith(f" reproducer={first}")
+
+
+def test_a_bound_that_raises_on_one_row_errors_there_only(capsys, monkeypatch):
+    bad = _reference_qubit_channel(0, 6)
+
+    def picky(stack, q):
+        if _rows_like(stack, [bad]).any():
+            raise FloatingPointError("planted failure")
+        return np.zeros(len(stack))
+
+    table = tuple(
+        dataclasses.replace(b, rhs=picky) if b.id == "receiver_self_lower" else b
+        for b in bounds.TABLE
+    )
+    monkeypatch.setattr(bounds, "TABLE", table)
+    bound = next(b for b in table if b.id == "receiver_self_lower")
+    stack, idx = next((s, idx) for s, idx in cli._mixed_qubit_stacks(0, 12) if 6 in idx)
+    slack, raised = cli._bound_slacks(stack, 2.0, bound)
+    assert raised == [idx.index(6)]
+    assert np.isnan(slack[raised]).all() and np.isfinite(np.delete(slack, raised)).all()
+
+    assert main(["verify", "--suite", "bounds", "--n", "12", "--seed", "0"]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("FAIL bounds.report_all_orders checks=732 worst_slack=nan ")
+    assert line.endswith(" reproducer=seed=0,index=6,q=1.0,id=receiver_self_lower_error")
+
+
+def test_a_check_column_keeps_the_nan_rule_and_formats_the_first_failure_only():
+    formatted = []
+
+    def reproducer(k):
+        formatted.append(k)
+        return f"case {k}"
+
+    check = cli._CheckResult("planted")
+    check.add_column(np.array([[0.5, -1e-9], [-2.0, 0.25]]), reproducer, [0.0, 1e-8])
+    assert (check.checks, check.worst_slack) == (4, -2.0)
+    assert check.failures == ["case 2"] and formatted == [2]
+    check.add_column([0.1, math.nan, -3.0], reproducer)
+    check.add_column([0.0], reproducer)
+    assert check.checks == 8 and math.isnan(check.worst_slack)
+    assert check.failures == ["case 2", "case 1"] and formatted == [2, 1]
+
+
+@pytest.mark.parametrize("suite", ["bounds", "separability"])
+def test_verify_builds_no_channel_one_at_a_time(suite, capsys, monkeypatch):
+    calls = []
+    real = Channel.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Channel, "__init__", counting)
+    assert main(["verify", "--suite", suite, "--n", "12", "--seed", "2"]) == 0
+    built = len(calls)
+    # the region examples are the only channels built on their own
+    zoo.identity_channel(2)
+    zoo.maximally_depolarizing(2)
+    zoo.coarse_graining(2)
+    zoo.depolarizing(2, 1.0 / 3.0)
+    examples = len(calls) - built
+    assert examples > 0
+    assert built == (examples if suite == "separability" else 0)
+    capsys.readouterr()
+
+
+def _verify_golden_blocks():
+    blocks = []
+    for line in VERIFY_GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True):
+        if line.startswith("# verify "):
+            blocks.append([line[2:].split(), "", None])
+        elif line.startswith("# exit "):
+            blocks[-1][2] = int(line.split()[2])
+        elif not line.startswith("#"):
+            blocks[-1][1] += line
+    return blocks
+
+
+def test_verify_matches_the_parent_golden_bytes(capsys):
+    blocks = _verify_golden_blocks()
+    assert len(blocks) == 16
+    for argv, expected, code in blocks:
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out == expected, argv
 
 
 # ---------------------------------------------------------------------------

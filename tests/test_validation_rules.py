@@ -19,7 +19,8 @@ from qchan.channels import (
     remix_kraus,
 )
 from qchan.entropy import renyi
-from qchan.matcore import reshuffle
+from qchan.cli import _parse_q
+from qchan.matcore import q_norm, reshuffle
 from qchan.separability import partial_transpose
 from qchan.zoo import (
     depolarizing,
@@ -93,19 +94,32 @@ def test_side_rule(site):
             SIDE_SITES[site](np.eye(side))
 
 
+@pytest.mark.parametrize("site", sorted(SIDE_SITES))
+def test_side_rule_rejects_a_non_integral_block(site):
+    m = reshuffle_invariant((0.5, 0.3, 0.2)).superop
+    SIDE_SITES[site](m, 2.0)
+    with pytest.raises(ValueError, match=r"^block size must be an integer, got 2\.7$"):
+        SIDE_SITES[site](m, 2.7)
+
+
+# site -> (call taking q, smallest order it accepts)
 ORDER_SITES = {
-    "f_min": f_min,
-    "applicable_bounds": applicable_bounds,
-    "evaluate_all": lambda q: evaluate_all(depolarizing(2, 0.5), q),
+    "f_min": (f_min, 1.0),
+    "applicable_bounds": (applicable_bounds, 1.0),
+    "evaluate_all": (lambda q: evaluate_all(depolarizing(2, 0.5), q), 1.0),
+    "q_norm": (lambda q: q_norm(np.eye(3), q), 1.0),
+    "_parse_q": (lambda q: _parse_q(str(q)), 0.0),
 }
 
 
 @pytest.mark.parametrize("site", sorted(ORDER_SITES))
 def test_order_rule(site):
-    ORDER_SITES[site](1.0)
-    for q in (0.5, math.nan):
-        with pytest.raises(ValueError, match="Rényi order must be >= 1"):
-            ORDER_SITES[site](q)
+    call, minimum = ORDER_SITES[site]
+    call(minimum)
+    call(math.inf)
+    for q in (minimum - 0.5, math.nan):
+        with pytest.raises(ValueError, match=f"^Rényi order must be >= {minimum:g}, got "):
+            call(q)
 
 
 def test_order_rule_lets_entropies_take_q_zero():
