@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import Channel, ChannelStack, ValidationError
-from .entropy import Q_ONE_WINDOW, entropies, renyi, spectrum_probabilities
+from .entropy import DIAGNOSTICS, Q_ONE_WINDOW, entropies, renyi, spectrum_probabilities
 from .matcore import first_failure, renyi_order, reorder, singular_values
 from .zoo import rng_stream
 
@@ -474,6 +474,31 @@ def bound_columns(stack: ChannelStack, q, bound: Bound):
     return lhs, rhs, _slack(lhs, rhs, bound.relation)
 
 
+def table_columns(stack: ChannelStack, q, table):
+    """``(lhs, rhs, slack, errors)`` of every row of ``table``: ``(B, len(table))``
+    arrays with one row per channel and one column per bound.
+
+    A bound that raises on the stack is evaluated again one channel at a
+    time, on ``stack.channel(i).stack``.  Where it still raises, ``lhs``,
+    ``rhs`` and ``slack`` are nan and ``errors[i, j]`` holds the exception;
+    every other entry of ``errors`` is ``None``.  This is the one place that
+    catches a bound's exception.
+    """
+    lhs, rhs, slack = (np.full((len(stack), len(table)), math.nan) for _ in range(3))
+    errors = np.full(lhs.shape, None, dtype=object)
+    for j, bound in enumerate(table):
+        try:
+            lhs[:, j], rhs[:, j], slack[:, j] = bound_columns(stack, q, bound)
+        except Exception:  # noqa: BLE001 - evaluated again one channel at a time
+            for i in range(len(stack)):
+                row = stack.channel(i).stack
+                try:
+                    lhs[[i], j], rhs[[i], j], slack[[i], j] = bound_columns(row, q, bound)
+                except Exception as exc:  # noqa: BLE001 - handed back, never silently lost
+                    errors[i, j] = exc
+    return lhs, rhs, slack, errors
+
+
 def column_record(bound: Bound, columns, i: int = 0) -> BoundRecord:
     """Record of channel ``i`` from the :func:`bound_columns` of ``bound``."""
     lhs, rhs, slack = columns
@@ -556,26 +581,18 @@ def evaluate_all(ch: Channel, q) -> BoundReport:
     as an interval map.  Records are sorted by id.
     """
     q = renyi_order(q, minimum=1.0)
-    records: list[BoundRecord] = []
-    for bound in applicable_bounds(q, bool(ch.meta.get("interval"))):
-        try:
-            records.append(column_record(bound, bound_columns(ch.stack, q, bound)))
-        except Exception as exc:  # noqa: BLE001 - reported, never silently lost
-            records.append(
-                BoundRecord(
-                    id=f"{bound.id}_error",
-                    lhs=math.nan,
-                    rhs=math.nan,
-                    relation=bound.relation,
-                    slack=math.nan,
-                    satisfied=False,
-                    citation=f"{type(exc).__name__}: {exc}",
-                )
-            )
+    table = applicable_bounds(q, bool(ch.meta.get("interval")))
+    lhs, rhs, slack, errors = (part[0] for part in table_columns(ch.stack, q, table))
+    records = []
+    for j, b in enumerate(table):
+        rid, citation = b.id, b.citation
+        if errors[j] is not None:  # then lhs, rhs and slack are nan
+            rid, citation = f"{b.id}_error", f"{type(errors[j]).__name__}: {errors[j]}"
+        records.append(_record(rid, lhs[j], rhs[j], b.relation, citation, slack[j]))
     records.sort(key=lambda r: r.id)
 
     aggregates = {"f_min": f_min(q), "f_max": f_max(q), "g_min": g_min(q)}
-    for key in ("sigma1", "tau1", "d1", "lambda_phi"):
+    for key in DIAGNOSTICS:
         try:
             aggregates[key] = getattr(ch, key)
         except Exception as exc:  # noqa: BLE001 - reported like a failing record

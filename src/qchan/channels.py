@@ -70,7 +70,8 @@ class ChannelStack:
     """B linear maps on N x N density matrices, held as stacked arrays and
     validated together.
 
-    ``superop`` is a ``(B, N^2, N^2)`` stack of superoperators.  Construction
+    ``superop`` is a ``(B, N^2, N^2)`` stack of superoperators, and ``dim``
+    is N (``None`` infers it from the matrix size).  Construction
     forms the Choi matrices, checks that they are Hermitian, takes their
     eigenvalues with one batched ``eigvalsh``, and sets the CP, TP and unital
     flags and ``Phi(1/N)`` for every map at once.  The superoperator singular
@@ -99,14 +100,12 @@ class ChannelStack:
     )
     __slots__ = _VALIDATED + ("dim", "_singular_values", "_output_eigenvalues", "entropy_cache")
 
-    def __init__(self, superop, dim: int, *, require_cptp=True, index=None):
+    def __init__(self, superop, dim: int | None, *, require_cptp=True, index=None):
         superop = np.array(superop, dtype=complex)
-        n = int(dim)
+        if superop.ndim != 3:
+            raise ValueError(f"expected a stack of superoperators, got shape {superop.shape}")
+        n = _square_side(superop, dim)
         d = n * n
-        if superop.ndim != 3 or superop.shape[1:] != (d, d):
-            raise ValueError(
-                f"expected a stack of {d}x{d} superoperators, got shape {superop.shape}"
-            )
         if not np.isfinite(superop).all():
             raise ValueError("superoperator contains non-finite entries")
         b = superop.shape[0]
@@ -261,8 +260,7 @@ class Channel:
 
     def __init__(self, superop, dim=None, *, require_cptp=True, label=None, meta=None):
         superop = as_complex_matrix(superop)
-        n = _square_side(superop, dim)
-        self._set(ChannelStack(superop[None], n, require_cptp=require_cptp), label, meta)
+        self._set(ChannelStack(superop[None], dim, require_cptp=require_cptp), label, meta)
 
     def _set(self, stack: ChannelStack, label, meta) -> None:
         self.stack = stack

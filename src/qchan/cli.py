@@ -63,19 +63,7 @@ DIM_LIMITS = (2, 8)
 # it sets the rows per chunk, so memory stays flat as N grows.
 SCAN_CHUNK_BYTES = 1 << 16
 
-SCAN_BASE_COLUMNS = (
-    "label",
-    "seed_index",
-    "q",
-    "s_map",
-    "s_rec",
-    "s_output",
-    "sigma1",
-    "tau1",
-    "d1",
-    "lambda_phi",
-    "region",
-)
+SCAN_BASE_COLUMNS = ("label", "seed_index", "q", "s_map", "s_rec", *entropy.POINT_EXTRAS, "region")
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +285,7 @@ def cmd_analyze(args) -> int:
         "cp": ch.cp,
         "tp": ch.tp,
         "unital": ch.unital,
-        "sigma1": ch.sigma1,
-        "tau1": ch.tau1,
-        "d1": ch.d1,
-        "lambda_phi": ch.lambda_phi,
+        **{key: getattr(ch, key) for key in entropy.DIAGNOSTICS},
         "bloch_ellipsoid": None,
         "entropies": [],
         "bounds": [],
@@ -358,22 +343,19 @@ def _scan_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int, q: f
     columns = [[label.replace(",", ";") for label in labels], list(indices), [q] * len(indices)]
     columns += [point[name] for name in SCAN_BASE_COLUMNS[3:-1]]
     columns.append(separability.classify_regions(stack, q))
-    for bound in table:
-        try:
-            slack = bounds.bound_columns(stack, q, bound)[2]
-        except Exception as exc:  # noqa: BLE001 - any failure ends the scan, never a nan cell
-            raise ValidationError(
-                f"bound {bound.id} failed on seed_index {indices[0]}..{indices[-1]}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from None
-        bad = np.flatnonzero(~np.isfinite(slack))
+    _, _, slack, errors = bounds.table_columns(stack, q, table)
+    # Any failure ends the scan, never a nan cell.  The message names the
+    # first bad bound in table order, at its lowest row.
+    for j, bound in enumerate(table):
+        bad = np.flatnonzero(~np.isfinite(slack[:, j]))
         if bad.size:
-            raise ValidationError(
-                f"bound {bound.id} is not finite at seed_index {indices[bad[0]]} "
-                f"(slack {slack[bad[0]]})"
-            )
-        columns.append(slack)
-    return columns
+            r, exc = bad[0], errors[bad[0], j]
+            if exc is None:
+                why = f"is not finite at seed_index {indices[r]} (slack {slack[r, j]})"
+            else:
+                why = f"failed on seed_index {indices[r]}: {type(exc).__name__}: {exc}"
+            raise ValidationError(f"bound {bound.id} {why}")
+    return columns + list(slack.T)
 
 
 def _scan_columns(ensemble: str, dim: int, seed: int, n: int, q: float, table) -> list[list]:
@@ -463,51 +445,23 @@ def cmd_curve(args) -> int:
 # verify
 
 
-class _CheckResult:
-    __slots__ = ("name", "checks", "worst_slack", "failures")
+def _check(name: str, slacks, reproducer, tol=0.0) -> str:
+    """Verify line of check ``name``, given the slack of every instance in C order.
 
-    def __init__(self, name: str):
-        self.name = name
-        self.checks = 0
-        self.worst_slack = math.inf
-        self.failures: list[str] = []
-
-    def add(self, slack: float, reproducer: str, tol: float = 0.0) -> None:
-        self._tally(1, slack, None if slack >= -tol else reproducer)
-
-    def add_column(self, slacks, reproducer, tol=0.0) -> None:
-        """Add one check per entry of ``slacks``, in C order.
-
-        ``tol`` broadcasts against ``slacks``.  ``reproducer(k)`` names check
-        ``k`` and is called for the first failing check only.
-        """
-        slacks = np.asarray(slacks, dtype=float)
-        if slacks.size:
-            bad = np.flatnonzero(~(slacks >= -np.asarray(tol)))
-            failure = reproducer(int(bad[0])) if bad.size else None
-            self._tally(slacks.size, float(slacks.min()), failure)
-
-    def _tally(self, count: int, low: float, failure) -> None:
-        # low is the smallest slack, nan when any is nan; a nan sticks and
-        # fails, since it never compares >= -tol.
-        self.checks += count
-        if low < self.worst_slack or math.isnan(low):
-            self.worst_slack = low
-        if failure is not None:
-            self.failures.append(failure)
-
-    @property
-    def failed(self) -> bool:
-        # A check that ran no instance has shown nothing, so it fails.
-        return not self.checks or bool(self.failures)
-
-    def line(self) -> str:
-        status = "FAIL" if self.failed else "PASS"
-        worst = "inf" if math.isinf(self.worst_slack) else format(self.worst_slack, ".6e")
-        text = f"{status} {self.name} checks={self.checks} worst_slack={worst}"
-        if self.failed:
-            text += f" reproducer={self.failures[0] if self.failures else 'no_instance'}"
-        return text
+    An instance passes when its slack is at least ``-tol`` (``tol``
+    broadcasts against ``slacks``), so a nan slack fails and makes the worst
+    slack nan.  ``reproducer(k)`` names instance ``k`` and is called for the
+    first failing instance only.  A check that ran no instance has shown
+    nothing, so it fails.
+    """
+    slacks = np.asarray(slacks, dtype=float)
+    if not slacks.size:
+        return f"FAIL {name} checks=0 worst_slack=inf reproducer=no_instance"
+    bad = np.flatnonzero(~(slacks >= -np.asarray(tol)))
+    worst = f"checks={slacks.size} worst_slack={slacks.min():.6e}"
+    if not bad.size:
+        return f"PASS {name} {worst}"
+    return f"FAIL {name} {worst} reproducer={reproducer(int(bad[0]))}"
 
 
 def _mixed_qubit_stacks(seed: int, n: int) -> list[tuple[ChannelStack, list[int]]]:
@@ -536,48 +490,25 @@ def _mixed_qubit_stacks(seed: int, n: int) -> list[tuple[ChannelStack, list[int]
     return groups
 
 
-def _bound_slacks(stack: ChannelStack, q: float, bound) -> tuple[np.ndarray, list[int]]:
-    """Slack of ``bound`` on each channel of ``stack``, and the rows where it raised.
-
-    A bound that raises on the stack is evaluated again one row at a time;
-    a row that raises gets a nan slack, as its ``<id>_error`` record in
-    :func:`bounds.evaluate_all` has.
-    """
-    try:
-        return bounds.bound_columns(stack, q, bound)[2], []
-    except Exception:  # noqa: BLE001 - retried row by row below
-        pass
-    slack = np.full(len(stack), math.nan)
-    raised = []
-    for r in range(len(stack)):
-        try:
-            slack[r] = bounds.bound_columns(stack.channel(r).stack, q, bound)[2][0]
-        except Exception:  # noqa: BLE001 - reported as an error record, never lost
-            raised.append(r)
-    return slack, raised
-
-
-def _verify_bounds(n: int, seed: int) -> list[_CheckResult]:
-    suite = _CheckResult("bounds.report_all_orders")
-    floor = _CheckResult("bounds.bistochastic_floor")
-    oracle = _CheckResult("bounds.sigma1_oracle_one_sided")
-
+def _verify_bounds(n: int, seed: int) -> list[str]:
     # One column per (q, bound id) of the report at each order, so the flat
     # order of the (channel, column) slacks is (index, q, id).
-    columns = [(q, b) for q in (1.0, 1.5, 2.0, math.inf) for b in bounds.applicable_bounds(q)]
+    tables = [(q, bounds.applicable_bounds(q)) for q in (1.0, 1.5, 2.0, math.inf)]
+    columns = [(q, b.id) for q, table in tables for b in table]
     slack = np.empty((n, len(columns)))
-    errors = {}  # (index, column) -> id of an error record
+    errors = np.empty(slack.shape, dtype=object)
     for stack, idx in _mixed_qubit_stacks(seed, n):
-        for j, (q, bound) in enumerate(columns):
-            slack[idx, j], raised = _bound_slacks(stack, q, bound)
-            errors.update({(idx[r], j): f"{bound.id}_error" for r in raised})
+        parts = [bounds.table_columns(stack, q, table) for q, table in tables]
+        slack[idx] = np.hstack([part[2] for part in parts])
+        errors[idx] = np.hstack([part[3] for part in parts])
 
     def report_case(k: int) -> str:
         i, j = divmod(k, len(columns))
-        q, bound = columns[j]
-        return f"seed={seed},index={i},q={q},id={errors.get((i, j), bound.id)}"
+        q, rid = columns[j]
+        suffix = "" if errors[i, j] is None else "_error"
+        return f"seed={seed},index={i},q={q},id={rid}{suffix}"
 
-    suite.add_column(slack, report_case, bounds.CHECK_TOL)
+    lines = [_check("bounds.report_all_orders", slack, report_case, bounds.CHECK_TOL)]
 
     rngs = [zoo.rng_substream(seed, 10_000 + i) for i in range(n)]
     stack, _ = zoo.random_bistochastic_stack(2, [i % 4 + 1 for i in range(n)], rngs)
@@ -595,7 +526,9 @@ def _verify_bounds(n: int, seed: int) -> list[_CheckResult]:
         return f"seed={seed},index={i},q={(1.0, 2.0)[c - 1]},sum={sums[c - 1][i]:.12g}"
 
     tols = [0.0, bounds.CHECK_TOL, bounds.CHECK_TOL]
-    floor.add_column(np.column_stack(floor_slack), floor_case, tols)
+    lines.append(
+        _check("bounds.bistochastic_floor", np.column_stack(floor_slack), floor_case, tols)
+    )
 
     m = min(n, 50)
     est, oracle_slack = np.empty(m), np.empty(m)
@@ -604,62 +537,81 @@ def _verify_bounds(n: int, seed: int) -> list[_CheckResult]:
             ch = stack.channel(r)
             est[i] = bounds.sigma1_variational(ch, budget=500, seed=seed + i)
             oracle_slack[i] = ch.sigma1 + 1e-9 - est[i]
-    oracle.add_column(oracle_slack, lambda k: f"seed={seed},index={k},est={est[k]:.12g}")
-    return [suite, floor, oracle]
+    lines.append(
+        _check(
+            "bounds.sigma1_oracle_one_sided",
+            oracle_slack,
+            lambda k: f"seed={seed},index={k},est={est[k]:.12g}",
+        )
+    )
+    return lines
 
 
-def _verify_lemmas(n: int, seed: int) -> list[_CheckResult]:
+def _verify_lemmas(n: int, seed: int) -> list[str]:
     from .matcore import q_norm, random_permutation, reorder
 
-    interp = _CheckResult("lemmas.norm_interpolation")
-    spectral = _CheckResult("lemmas.spectrum_vs_extremes")
-    reordered = _CheckResult("lemmas.reordered_spectrum")
-    invariance = _CheckResult("lemmas.reorder_norm_invariance")
+    orders = (1.5, 2.0, 4.0)
+    interp, dev = np.empty((n, len(orders))), np.empty(n)
+    spectral, reordered = [], []  # records in (index, q, record) order
     for i in range(n):
         rng = zoo.rng_substream(seed, i)
         size = int(rng.integers(4, 10))
         m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         perm = random_permutation(size * size, rng)
         y = reorder(m, perm)
-        dev = abs(np.linalg.norm(m) - np.linalg.norm(y))
-        invariance.add(1e-12 - dev, f"seed={seed},index={i},dev={dev:.3e}")
-        for q in (1.5, 2.0, 4.0):
+        dev[i] = abs(np.linalg.norm(m) - np.linalg.norm(y))
+        trace_norm, spectral_norm = q_norm(m, 1.0), q_norm(m, math.inf)
+        for a, q in enumerate(orders):
             lhs = q_norm(m, q)
-            rhs = q_norm(m, 1.0) ** (1.0 / q) * q_norm(m, math.inf) ** ((q - 1.0) / q)
-            interp.add(rhs - lhs, f"seed={seed},index={i},q={q}", 1e-10)
-            for r in bounds.spectral_entropy_bounds(m, q):
-                spectral.add(r.slack, f"seed={seed},index={i},q={q},id={r.id}", 1e-10)
-            for r in bounds.reordered_entropy_bounds(m, perm, q):
-                reordered.add(r.slack, f"seed={seed},index={i},q={q},id={r.id}", 1e-10)
-    return [interp, spectral, reordered, invariance]
+            rhs = trace_norm ** (1.0 / q) * spectral_norm ** ((q - 1.0) / q)
+            interp[i, a] = rhs - lhs
+            spectral += bounds.spectral_entropy_bounds(m, q)
+            reordered += bounds.reordered_entropy_bounds(m, perm, q)
+
+    def interp_case(k: int) -> str:
+        i, a = np.unravel_index(k, interp.shape)
+        return f"seed={seed},index={i},q={orders[a]}"
+
+    def record_check(name: str, records: list) -> str:
+        def case(k: int) -> str:
+            i, a, _ = np.unravel_index(k, (n, len(orders), 2))
+            return f"seed={seed},index={i},q={orders[a]},id={records[k].id}"
+
+        slacks = np.array([r.slack for r in records]).reshape(n, len(orders), 2)
+        return _check(name, slacks, case, 1e-10)
+
+    return [
+        _check("lemmas.norm_interpolation", interp, interp_case, 1e-10),
+        record_check("lemmas.spectrum_vs_extremes", spectral),
+        record_check("lemmas.reordered_spectrum", reordered),
+        _check(
+            "lemmas.reorder_norm_invariance",
+            1e-12 - dev,
+            lambda k: f"seed={seed},index={k},dev={dev[k]:.3e}",
+        ),
+    ]
 
 
-def _verify_separability(n: int, seed: int) -> list[_CheckResult]:
-    soundness = _CheckResult("separability.ppt_implies_criteria")
-    realign = _CheckResult("separability.ppt_implies_realignment")
-    examples = _CheckResult("separability.region_examples")
+def _verify_separability(n: int, seed: int) -> list[str]:
     orders = (1.5, 2.0)
     ppt, value = np.zeros(n, dtype=bool), np.empty(n)
     criteria = np.empty((n, len(orders), len(separability.CRITERIA)))
+    errors = np.empty(criteria.shape, dtype=object)
     for stack, idx in _mixed_qubit_stacks(seed, n):
         ppt[idx] = separability.ppt_stack(stack)[1]
         value[idx] = stack.lambda_phi / stack.dim
         for a, q in enumerate(orders):
-            for b, bound in enumerate(separability.CRITERIA):
-                criteria[idx, a, b] = bounds.bound_columns(stack, q, bound)[2]
+            _, _, criteria[idx, a], errors[idx, a] = bounds.table_columns(
+                stack, q, separability.CRITERIA
+            )
     # Separable (PPT) qubit channels must pass realignment and the criteria.
     rows = np.flatnonzero(ppt)
-    realign.add_column(
-        1.0 + separability.REALIGNMENT_TOL - value[rows],
-        lambda k: f"seed={seed},index={rows[k]},value={value[rows[k]]:.12g}",
-    )
 
     def criteria_case(k: int) -> str:
         r, a, b = np.unravel_index(k, criteria[rows].shape)
         q, rid = orders[a], separability.CRITERIA[b].id
-        return f"seed={seed},index={rows[r]},q={q},id={rid}"
-
-    soundness.add_column(criteria[rows], criteria_case, bounds.CHECK_TOL)
+        suffix = "" if errors[rows[r], a, b] is None else "_error"
+        return f"seed={seed},index={rows[r]},q={q},id={rid}{suffix}"
 
     cases = [
         (ch.label, want, separability.classify_region(ch, 2.0).region)
@@ -670,21 +622,26 @@ def _verify_separability(n: int, seed: int) -> list[_CheckResult]:
             (zoo.depolarizing(2, 1.0 / 3.0), "C"),
         )
     ]
-    examples.add_column(
-        [0.0 if got == want else -1.0 for _, want, got in cases],
-        lambda k: "label={},expected={},got={}".format(*cases[k]),
-    )
-    return [soundness, realign, examples]
+    return [
+        _check(
+            "separability.ppt_implies_criteria", criteria[rows], criteria_case, bounds.CHECK_TOL
+        ),
+        _check(
+            "separability.ppt_implies_realignment",
+            1.0 + separability.REALIGNMENT_TOL - value[rows],
+            lambda k: f"seed={seed},index={rows[k]},value={value[rows[k]]:.12g}",
+        ),
+        _check(
+            "separability.region_examples",
+            [0.0 if got == want else -1.0 for _, want, got in cases],
+            lambda k: "label={},expected={},got={}".format(*cases[k]),
+        ),
+    ]
 
 
-def _verify_zoo(n: int, seed: int) -> list[_CheckResult]:
+def _verify_zoo(n: int, seed: int) -> list[str]:
     from .matcore import reshuffle
 
-    conj = _CheckResult("zoo.reshuffle_conjugation_rule")
-    rinv = _CheckResult("zoo.reshuffle_invariant_family")
-    twirl = _CheckResult("zoo.pauli_uniform_is_depolarizing")
-    curve = _CheckResult("zoo.depolarizing_curve_consistency")
-    valid = _CheckResult("zoo.families_pass_validation")
     devs = []
     for i in range(n):
         rng = zoo.rng_substream(seed, i)
@@ -699,9 +656,13 @@ def _verify_zoo(n: int, seed: int) -> list[_CheckResult]:
         lhs = reshuffle(np.kron(xs[0], xs[1]) @ y @ np.kron(xs[2], xs[3]))
         rhs = np.kron(xs[0], xs[2].T) @ reshuffle(y) @ np.kron(xs[1].T, xs[3])
         devs.append(float(np.linalg.norm(lhs - rhs)))
-    conj.add_column(
-        1e-12 - np.array(devs), lambda k: f"seed={seed},index={k},dev={devs[k]:.3e}"
-    )
+    lines = [
+        _check(
+            "zoo.reshuffle_conjugation_rule",
+            1e-12 - np.array(devs),
+            lambda k: f"seed={seed},index={k},dev={devs[k]:.3e}",
+        )
+    ]
 
     stack, _ = zoo.random_reshuffle_invariant_stack(
         [zoo.rng_substream(seed, 20_000 + i) for i in range(n)]
@@ -710,10 +671,13 @@ def _verify_zoo(n: int, seed: int) -> list[_CheckResult]:
     dev = np.array([np.linalg.norm(stack.choi[r] - stack.superop[r]) for r in range(n)])
     s_map, s_rec = (entropy.entropies(stack, kind, 2.0) for kind in ("map", "receiver"))
     ent_dev = np.abs(s_map - s_rec)
-    rinv.add_column(
-        1e-10 - np.column_stack([dev, ent_dev]),
-        lambda k: f"seed={seed},index={k // 2},"
-        + (f"dev={dev[k // 2]:.3e}" if k % 2 == 0 else f"entropy_dev={ent_dev[k // 2]:.3e}"),
+    lines.append(
+        _check(
+            "zoo.reshuffle_invariant_family",
+            1e-10 - np.column_stack([dev, ent_dev]),
+            lambda k: f"seed={seed},index={k // 2},"
+            + (f"dev={dev[k // 2]:.3e}" if k % 2 == 0 else f"entropy_dev={ent_dev[k // 2]:.3e}"),
+        )
     )
 
     twirl_dev = float(
@@ -721,7 +685,13 @@ def _verify_zoo(n: int, seed: int) -> list[_CheckResult]:
             zoo.pauli_channel([0.25, 0.25, 0.25, 0.25]).superop - zoo.depolarizing(2, 0.0).superop
         )
     )
-    twirl.add_column([1e-12 - twirl_dev], lambda k: f"dev={twirl_dev:.3e}")
+    lines.append(
+        _check(
+            "zoo.pauli_uniform_is_depolarizing",
+            [1e-12 - twirl_dev],
+            lambda k: f"dev={twirl_dev:.3e}",
+        )
+    )
 
     alphas = [i / 100.0 for i in range(101)]
     stack, _ = zoo.depolarizing_stack(2, alphas)
@@ -729,9 +699,12 @@ def _verify_zoo(n: int, seed: int) -> list[_CheckResult]:
     got = np.column_stack(
         [entropy.entropies(stack, "map", 1.0), entropy.entropies(stack, "receiver", 1.0)]
     )
-    curve.add_column(
-        1e-10 - np.abs(exact - got),
-        lambda k: f"alpha={alphas[k // 2]:.2f},side={('map', 'rec')[k % 2]}",
+    lines.append(
+        _check(
+            "zoo.depolarizing_curve_consistency",
+            1e-10 - np.abs(exact - got),
+            lambda k: f"alpha={alphas[k // 2]:.2f},side={('map', 'rec')[k % 2]}",
+        )
     )
 
     errors = []  # None for a sample that passed validation
@@ -743,8 +716,14 @@ def _verify_zoo(n: int, seed: int) -> list[_CheckResult]:
                 errors.append(None)
             except ValidationError as exc:
                 errors.append(f"seed={seed},index={i},error={exc}")
-    valid.add_column([0.0 if e is None else -1.0 for e in errors], errors.__getitem__)
-    return [conj, rinv, twirl, curve, valid]
+    lines.append(
+        _check(
+            "zoo.families_pass_validation",
+            [0.0 if e is None else -1.0 for e in errors],
+            errors.__getitem__,
+        )
+    )
+    return lines
 
 
 def cmd_verify(args) -> int:
@@ -759,23 +738,26 @@ def cmd_verify(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     selected = list(suites) if args.suite == "all" else [args.suite]
-    results: list[_CheckResult] = []
+    lines: list[str] = []
     for name in selected:
-        results.extend(suites[name](args.n, args.seed))
+        lines += suites[name](args.n, args.seed)
     if args.inject_invalid:
         bad = from_superoperator(
             1.5 * np.eye(4, dtype=complex), permissive=True, label="invalid(1.5*id)"
         )
-        control = _CheckResult("verify.negative_control")
-        report = bounds.evaluate_all(bad, 2.0)
-        for r in report.records:
-            control.add(r.slack, f"injected,id={r.id}", bounds.CHECK_TOL)
-        results.append(control)
-    for res in results:
-        print(res.line())
-    failed = sum(1 for r in results if r.failed)
+        records = bounds.evaluate_all(bad, 2.0).records
+        lines.append(
+            _check(
+                "verify.negative_control",
+                [r.slack for r in records],
+                lambda k: f"injected,id={records[k].id}",
+                bounds.CHECK_TOL,
+            )
+        )
+    print("\n".join(lines))
+    failed = sum(line.startswith("FAIL") for line in lines)
     print(
-        f"verify: {len(results) - failed} passed, {failed} failed "
+        f"verify: {len(lines) - failed} passed, {failed} failed "
         f"(suite={args.suite}, n={args.n}, seed={args.seed})"
     )
     return 1 if failed else 0

@@ -243,8 +243,11 @@ class EntropyPoint:
     extras: dict = field(default_factory=dict)
 
 
+# Spectral scalars of a channel, each a property of Channel and ChannelStack.
+DIAGNOSTICS = ("sigma1", "tau1", "d1", "lambda_phi")
+
 # Scalar diagnostics carried by an EntropyPoint, in order.
-POINT_EXTRAS = ("s_output", "sigma1", "tau1", "d1", "lambda_phi")
+POINT_EXTRAS = ("s_output",) + DIAGNOSTICS
 
 
 def entropy_columns(stack: ChannelStack, q) -> dict[str, np.ndarray]:
@@ -254,10 +257,7 @@ def entropy_columns(stack: ChannelStack, q) -> dict[str, np.ndarray]:
         "s_map": entropies(stack, "map", q),
         "s_rec": entropies(stack, "receiver", q),
         "s_output": entropies(stack, "output", q),
-        "sigma1": stack.sigma1,
-        "tau1": stack.tau1,
-        "d1": stack.d1,
-        "lambda_phi": stack.lambda_phi,
+        **{key: getattr(stack, key) for key in DIAGNOSTICS},
     }
 
 

@@ -16,6 +16,9 @@ import qchan.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(
+    r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.DOTALL
+)
 
 
 def test_every_exported_name_resolves():
@@ -45,9 +48,7 @@ def _imported_from_qchan(source: str) -> set[str]:
 
 def test_names_the_demos_and_readme_import_are_exported():
     # the demos and the README are what users copy, so they fix the surface
-    sources = [path.read_text(encoding="utf-8") for path in DEMOS]
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    sources += re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    sources = [path.read_text(encoding="utf-8") for path in DEMOS] + README_BLOCKS
     names = set().union(*map(_imported_from_qchan, sources))
     package = Path(qchan.__file__).parent
     functions = {name for name in names if not (package / f"{name}.py").exists()}
@@ -66,6 +67,15 @@ def test_demo_imports(path):
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("block", range(len(README_BLOCKS)))
+def test_readme_python_block_runs(block, capsys):
+    # a stale example fails here instead of in a user's session
+    assert len(README_BLOCKS) >= 2
+    code = compile(README_BLOCKS[block], f"README.md python block {block}", "exec")
+    exec(code, {"__name__": "readme_example"})
+    capsys.readouterr()
 
 
 def test_benchmark_tracer_installs_and_restores_every_patch():

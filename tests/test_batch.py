@@ -360,12 +360,29 @@ def test_scan_stops_on_a_failing_bound(tmp_path, capsys, monkeypatch):
     assert main(_scan_args(out)) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "map_rank_lower" in err[0] and "seed_index 0..11" in err[0]
+    assert "map_rank_lower" in err[0] and "seed_index 0:" in err[0]
     assert "planted failure" in err[0]
     assert not out.exists()
     # the per-channel report keeps the failure as an error record
     report = bounds.evaluate_all(depolarizing(2, 0.5), 2.0)
     assert not report.record("map_rank_lower_error").satisfied
+
+
+def test_scan_names_the_row_where_a_bound_raises(tmp_path, capsys, monkeypatch):
+    # the chunk call raises, and so does row 7 alone when evaluated on its own
+    def raises_at_row_7(stack, q):
+        if len(stack) > 1 or stack.superop[0].tobytes() == row_7:
+            raise FloatingPointError("planted failure")
+        return np.zeros(len(stack))
+
+    stack, _ = cli._sample_chunk("random_cptp", 2, 3, range(12), 12)
+    row_7 = stack.superop[7].tobytes()
+    monkeypatch.setattr(bounds, "TABLE", _patched_table("map_cross_lower", rhs=raises_at_row_7))
+    assert main(_scan_args(tmp_path / "scan.csv")) == 2
+    assert capsys.readouterr().err == (
+        "error: bound map_cross_lower failed on seed_index 7: "
+        "FloatingPointError: planted failure\n"
+    )
 
 
 def test_scan_names_the_row_of_a_non_finite_bound(tmp_path, capsys, monkeypatch):

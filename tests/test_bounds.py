@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qchan import bounds
 from qchan.bounds import (
     CHECK_TOL,
     TABLE,
@@ -480,6 +482,26 @@ def test_evaluate_all_reports_a_failing_aggregate():
     assert "d1" not in agg
     assert agg["d1_error"].startswith("ValidationError: ")
     assert all(isinstance(v, str) or math.isfinite(v) for v in agg.values())
+
+
+def test_evaluate_all_turns_a_raising_bound_into_an_error_record(monkeypatch):
+    def boom(stack, q):
+        raise FloatingPointError("planted failure")
+
+    ch = depolarizing(2, 0.5)
+    clean = evaluate_all(ch, 2.0)
+    table = tuple(
+        dataclasses.replace(b, rhs=boom) if b.id == "map_rank_lower" else b for b in bounds.TABLE
+    )
+    monkeypatch.setattr(bounds, "TABLE", table)
+    report = evaluate_all(ch, 2.0)
+    error = report.record("map_rank_lower_error")
+    assert math.isnan(error.lhs) and math.isnan(error.rhs) and math.isnan(error.slack)
+    assert error.relation == ">=" and error.satisfied is False
+    assert error.citation == "FloatingPointError: planted failure"
+    others = [r for r in report.records if r is not error]
+    assert others == [r for r in clean.records if r.id != "map_rank_lower"]
+    assert [r.id for r in report.records] == sorted(r.id for r in report.records)
 
 
 def test_evaluate_all_random_sweep():

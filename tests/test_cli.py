@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qchan import bounds, cli, zoo
+from qchan import bounds, cli, separability, zoo
 from qchan.channels import Channel
 from qchan.cli import SCAN_BASE_COLUMNS, load_channel_spec, main
 
@@ -444,12 +444,15 @@ def test_verify_zoo_fails_a_family_that_does_not_validate(capsys, monkeypatch):
 
 
 def test_verify_check_fails_on_a_nan_slack():
-    check = cli._CheckResult("planted")
-    check.add(0.5, "finite")
-    check.add(math.nan, "nan-slack", 1e-8)
-    check.add(0.25, "after")
-    assert check.failures == ["nan-slack"]
-    assert check.line() == "FAIL planted checks=3 worst_slack=nan reproducer=nan-slack"
+    formatted = []
+
+    def reproducer(k):
+        formatted.append(k)
+        return ("finite", "nan-slack", "after")[k]
+
+    line = cli._check("planted", [0.5, math.nan, 0.25], reproducer, [0.0, 1e-8, 0.0])
+    assert formatted == [1]
+    assert line == "FAIL planted checks=3 worst_slack=nan reproducer=nan-slack"
 
 
 def test_verify_fails_on_an_error_record(capsys, monkeypatch):
@@ -568,9 +571,13 @@ def test_a_bound_that_raises_on_one_row_errors_there_only(capsys, monkeypatch):
     monkeypatch.setattr(bounds, "TABLE", table)
     bound = next(b for b in table if b.id == "receiver_self_lower")
     stack, idx = next((s, idx) for s, idx in cli._mixed_qubit_stacks(0, 12) if 6 in idx)
-    slack, raised = cli._bound_slacks(stack, 2.0, bound)
+    lhs, rhs, slack, errors = bounds.table_columns(stack, 2.0, [bound])
+    assert lhs.shape == rhs.shape == slack.shape == errors.shape == (len(stack), 1)
+    raised = [r for r in range(len(stack)) if errors[r, 0] is not None]
     assert raised == [idx.index(6)]
-    assert np.isnan(slack[raised]).all() and np.isfinite(np.delete(slack, raised)).all()
+    assert str(errors[raised[0], 0]) == "planted failure"
+    for column in (lhs, rhs, slack):
+        assert np.isnan(column[raised]).all() and np.isfinite(np.delete(column, raised)).all()
 
     assert main(["verify", "--suite", "bounds", "--n", "12", "--seed", "0"]) == 1
     line = capsys.readouterr().out.splitlines()[0]
@@ -585,14 +592,90 @@ def test_a_check_column_keeps_the_nan_rule_and_formats_the_first_failure_only():
         formatted.append(k)
         return f"case {k}"
 
-    check = cli._CheckResult("planted")
-    check.add_column(np.array([[0.5, -1e-9], [-2.0, 0.25]]), reproducer, [0.0, 1e-8])
-    assert (check.checks, check.worst_slack) == (4, -2.0)
-    assert check.failures == ["case 2"] and formatted == [2]
-    check.add_column([0.1, math.nan, -3.0], reproducer)
-    check.add_column([0.0], reproducer)
-    assert check.checks == 8 and math.isnan(check.worst_slack)
-    assert check.failures == ["case 2", "case 1"] and formatted == [2, 1]
+    line = cli._check("planted", np.array([[0.5, -1e-9], [-2.0, 0.25]]), reproducer, [0.0, 1e-8])
+    assert line == "FAIL planted checks=4 worst_slack=-2.000000e+00 reproducer=case 2"
+    assert formatted == [2]
+    line = cli._check("planted", [0.1, math.nan, -3.0], reproducer)
+    assert line == "FAIL planted checks=3 worst_slack=nan reproducer=case 1"
+    assert formatted == [2, 1]
+    line = cli._check("planted", [0.0], reproducer)
+    assert line == "PASS planted checks=1 worst_slack=0.000000e+00"
+    line = cli._check("planted", [-math.inf], reproducer)
+    assert line == "FAIL planted checks=1 worst_slack=-inf reproducer=case 0"
+    assert formatted == [2, 1, 0]
+
+
+def test_a_check_that_ran_no_instance_fails():
+    def reproducer(k):
+        raise AssertionError("no instance to name")
+
+    line = cli._check("planted", np.empty((0, 3)), reproducer, [0.0, 1e-8, 1e-8])
+    assert line == "FAIL planted checks=0 worst_slack=inf reproducer=no_instance"
+
+
+def test_verify_separability_reports_a_criterion_that_raises(capsys, monkeypatch):
+    # the lowest-index PPT channel of the suite at n=8 raises on the first
+    # criterion; the other criteria and the region examples are untouched
+    first = next(
+        i for i in range(8) if separability.ppt_test(_reference_qubit_channel(0, i))[1]
+    )
+    bad = _reference_qubit_channel(0, first)
+
+    def picky(stack, q):
+        if _rows_like(stack, [bad]).any():
+            raise FloatingPointError("planted failure")
+        return np.zeros(len(stack))
+
+    criteria = list(separability.CRITERIA)
+    criteria[0] = dataclasses.replace(criteria[0], rhs=picky)
+    monkeypatch.setattr(separability, "CRITERIA", tuple(criteria))
+    assert main(["verify", "--suite", "separability", "--n", "8", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    line = captured.out.splitlines()[0]
+    assert line.startswith("FAIL separability.ppt_implies_criteria checks=")
+    assert " worst_slack=nan " in line
+    assert line.endswith(f" reproducer=seed=0,index={first},q=1.5,id={criteria[0].id}_error")
+    assert "PASS separability.region_examples" in captured.out
+
+
+def test_verify_lemmas_names_a_planted_spectrum_violation(capsys, monkeypatch):
+    # the upper bound of matrix 2 at its third order, q = 4, gets a negative
+    # slack; the suite calls spectral_entropy_bounds once per (index, order)
+    real = bounds.spectral_entropy_bounds
+    calls = []
+
+    def planted(x, q):
+        records = real(x, q)
+        if len(calls) == 3 * 2 + 2:
+            records[1] = dataclasses.replace(records[1], slack=-1.0)
+        calls.append(q)
+        return records
+
+    monkeypatch.setattr(bounds, "spectral_entropy_bounds", planted)
+    assert main(["verify", "--suite", "lemmas", "--n", "5", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == (
+        "FAIL lemmas.spectrum_vs_extremes checks=30 worst_slack=-1.000000e+00 "
+        "reproducer=seed=0,index=2,q=4.0,id=spectral_entropy_upper"
+    )
+    assert [line.split()[0] for line in lines[:4]] == ["PASS", "FAIL", "PASS", "PASS"]
+
+
+def test_verify_lemmas_takes_the_extreme_norms_once_per_matrix(capsys, monkeypatch):
+    from qchan import matcore
+
+    real = matcore.q_norm
+    calls = []
+
+    def counting(m, q):
+        calls.append(q)
+        return real(m, q)
+
+    monkeypatch.setattr(matcore, "q_norm", counting)
+    assert main(["verify", "--suite", "lemmas", "--n", "5", "--seed", "0"]) == 0
+    assert len(calls) == 25  # 1, inf and the three orders, per matrix
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("suite", ["bounds", "separability"])

@@ -10,6 +10,7 @@ from qchan.bounds import applicable_bounds, evaluate_all, f_min
 from qchan.channels import (
     UNITARY_TOL,
     Channel,
+    ChannelStack,
     ValidationError,
     choi_to_kraus,
     from_choi,
@@ -78,6 +79,7 @@ def test_isometry_rule(site):
 
 SIDE_SITES = {
     "Channel": Channel,
+    "ChannelStack": lambda m, block=None: ChannelStack(np.asarray(m)[None], block),
     "from_choi": from_choi,
     "choi_to_kraus": choi_to_kraus,
     "reshuffle": reshuffle,
