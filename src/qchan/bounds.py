@@ -499,23 +499,31 @@ def table_columns(stack: ChannelStack, q, table):
     return lhs, rhs, slack, errors
 
 
-def column_record(bound: Bound, columns, i: int = 0) -> BoundRecord:
-    """Record of channel ``i`` from the :func:`bound_columns` of ``bound``."""
-    lhs, rhs, slack = columns
-    return _record(bound.id, lhs[i], rhs[i], bound.relation, bound.citation, slack[i])
+def table_records(table, columns, i: int = 0) -> list[BoundRecord]:
+    """Records of channel ``i`` from ``columns = table_columns(stack, q, table)``,
+    in table order.  A row that raised there gives an ``<id>_error`` record
+    with nan values and ``Type: message`` as its citation."""
+    lhs, rhs, slack, errors = (part[i] for part in columns)
+    records = []
+    for j, b in enumerate(table):
+        rid, citation = b.id, b.citation
+        if errors[j] is not None:  # then lhs, rhs and slack are nan
+            rid, citation = f"{b.id}_error", f"{type(errors[j]).__name__}: {errors[j]}"
+        records.append(_record(rid, lhs[j], rhs[j], b.relation, citation, slack[j]))
+    return records
 
 
 def record(ch: Channel, bound_id: str, q) -> BoundRecord:
     """Record of the table row ``bound_id`` for ``ch`` at Rényi order ``q``.
 
-    Raises ``KeyError`` for an unknown id and ``ValueError`` when the row
-    does not apply at ``q`` (its ``applies(q, True)`` is false).
+    A row that raises gives its ``<id>_error`` record.  Raises ``KeyError``
+    for an unknown id and ``ValueError`` when the row does not apply at ``q``.
     """
     q = renyi_order(q)
     bound = {b.id: b for b in TABLE}[bound_id]
     if not bound.applies(q, True):
         raise ValueError(f"bound {bound_id} does not apply at q = {q}")
-    return column_record(bound, bound_columns(ch.stack, q, bound))
+    return table_records([bound], table_columns(ch.stack, q, [bound]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +590,7 @@ def evaluate_all(ch: Channel, q) -> BoundReport:
     """
     q = renyi_order(q, minimum=1.0)
     table = applicable_bounds(q, bool(ch.meta.get("interval")))
-    lhs, rhs, slack, errors = (part[0] for part in table_columns(ch.stack, q, table))
-    records = []
-    for j, b in enumerate(table):
-        rid, citation = b.id, b.citation
-        if errors[j] is not None:  # then lhs, rhs and slack are nan
-            rid, citation = f"{b.id}_error", f"{type(errors[j]).__name__}: {errors[j]}"
-        records.append(_record(rid, lhs[j], rhs[j], b.relation, citation, slack[j]))
-    records.sort(key=lambda r: r.id)
+    records = sorted(table_records(table, table_columns(ch.stack, q, table)), key=lambda r: r.id)
 
     aggregates = {"f_min": f_min(q), "f_max": f_max(q), "g_min": g_min(q)}
     for key in DIAGNOSTICS:

@@ -65,6 +65,12 @@ SCAN_CHUNK_BYTES = 1 << 16
 
 SCAN_BASE_COLUMNS = ("label", "seed_index", "q", "s_map", "s_rec", *entropy.POINT_EXTRAS, "region")
 
+# Scan modes: the (column, axis label) of x and y in the gnuplot script.
+SCAN_MODES = {
+    "entropy_plane": (("s_map", "S_q^map"), ("s_rec", "S_q^rec")),
+    "output_plane": (("s_output", "S_q(Phi(1/N))"), ("s_map", "S_q^map")),
+}
+
 
 # ---------------------------------------------------------------------------
 # parsing helpers
@@ -89,13 +95,9 @@ def _parse_q_list(text: str) -> list[float]:
 
 
 def _parse_entry(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        re_part, im_part = entry
-        if isinstance(re_part, (int, float)) and isinstance(im_part, (int, float)):
-            return complex(re_part, im_part)
-    raise ValueError(f"{where}: matrix entries must be numbers or [re, im] pairs, got {entry!r}")
+    field = f"{where}: matrix entry (number or [re, im] pair)"
+    parts = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else [entry]
+    return complex(*(_number(x, field) for x in parts))
 
 
 def _parse_matrix(rows, where: str) -> np.ndarray:
@@ -110,12 +112,12 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
 
 
 def _number(value, field: str, integer: bool = False):
-    """A spec's JSON number as a float, or as an int when ``integer``
+    """A spec's finite JSON number as a float, or as an int when ``integer``
     (integral floats such as ``2.0`` pass); ``ValueError`` names ``field``."""
-    kind = "an integer" if integer else "a number"
+    kind = "an integer" if integer else "a finite number"
     ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if ok and integer and not isinstance(value, numbers.Integral):
-        ok = float(value).is_integer()
+    if ok and not (integer and isinstance(value, numbers.Integral)):
+        ok = float(value).is_integer() if integer else abs(value) <= sys.float_info.max
     if not ok:
         raise ValueError(f"{field} must be {kind}, got {value!r}")
     return int(value) if integer else float(value)
@@ -301,8 +303,7 @@ def cmd_analyze(args) -> int:
         if q >= 1.0:
             report["bounds"].append(bounds.evaluate_all(ch, q).to_dict())
             verdict = separability.classify_region(ch, q).to_dict()
-            verdict["q"] = q
-            report["separability"].append(verdict)
+            report["separability"].append({**verdict, "q": q})
     text = json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
     _write_text(args.out, text)
     return 0
@@ -342,11 +343,13 @@ def _scan_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int, q: f
     point = entropy.entropy_columns(stack, q)
     columns = [[label.replace(",", ";") for label in labels], list(indices), [q] * len(indices)]
     columns += [point[name] for name in SCAN_BASE_COLUMNS[3:-1]]
-    columns.append(separability.classify_regions(stack, q))
-    _, _, slack, errors = bounds.table_columns(stack, q, table)
-    # Any failure ends the scan, never a nan cell.  The message names the
-    # first bad bound in table order, at its lowest row.
-    for j, bound in enumerate(table):
+    checked = (*table, *separability.CRITERIA)
+    parts = bounds.table_columns(stack, q, checked)
+    slack, errors = parts[2:]
+    # Any failure ends the scan, never a nan cell or a region read off one.
+    # The message names the first bad bound in table order (the bounds, then
+    # the criteria), at its lowest row.
+    for j, bound in enumerate(checked):
         bad = np.flatnonzero(~np.isfinite(slack[:, j]))
         if bad.size:
             r, exc = bad[0], errors[bad[0], j]
@@ -355,7 +358,9 @@ def _scan_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int, q: f
             else:
                 why = f"failed on seed_index {indices[r]}: {type(exc).__name__}: {exc}"
             raise ValidationError(f"bound {bound.id} {why}")
-    return columns + list(slack.T)
+    criteria = [part[:, len(table):] for part in parts]
+    columns.append(separability.verdict_columns(stack, q, criteria)[3])
+    return columns + list(slack[:, : len(table)].T)
 
 
 def _scan_columns(ensemble: str, dim: int, seed: int, n: int, q: float, table) -> list[list]:
@@ -370,7 +375,7 @@ def _scan_columns(ensemble: str, dim: int, seed: int, n: int, q: float, table) -
 
 
 def cmd_scan(args) -> int:
-    if args.mode not in ("entropy_plane", "output_plane"):
+    if args.mode not in SCAN_MODES:
         raise ValueError(f"unknown mode {args.mode!r}")
     if args.ensemble not in ENSEMBLES:
         raise ValueError(f"unknown ensemble {args.ensemble!r}; valid: {', '.join(ENSEMBLES)}")
@@ -401,11 +406,9 @@ def cmd_scan(args) -> int:
         }
         _write_text(args.out, json.dumps(json_safe(doc), indent=2, sort_keys=True) + "\n")
     if args.gnuplot:
-        if args.mode == "output_plane":
-            script = _gnuplot_script(args.out, 6, 4, "S_q(Phi(1/N))", "S_q^map")
-        else:
-            script = _gnuplot_script(args.out, 4, 5, "S_q^map", "S_q^rec")
-        _write_text(args.gnuplot, script)
+        (x, xlabel), (y, ylabel) = SCAN_MODES[args.mode]
+        xcol, ycol = (SCAN_BASE_COLUMNS.index(name) + 1 for name in (x, y))
+        _write_text(args.gnuplot, _gnuplot_script(args.out, xcol, ycol, xlabel, ylabel))
     return 0
 
 
@@ -418,10 +421,8 @@ def _curve_point(name: str, t: float) -> tuple[float, float]:
         return zoo.depolarizing_curve_point(t)
     if name == "interval_cd":
         ch = zoo.interval_channel(1.0, t, 0.0, 0.0)
-    elif name == "diagonal_Rinv":
+    else:  # diagonal_Rinv
         ch = zoo.reshuffle_invariant((t / 3.0, t / 3.0, 1.0 - 2.0 * t / 3.0))
-    else:
-        raise ValueError(f"unknown curve {name!r}; valid: {', '.join(CURVES)}")
     return entropy.map_entropy(ch, 1.0), entropy.receiver_entropy(ch, 1.0)
 
 
@@ -598,12 +599,10 @@ def _verify_separability(n: int, seed: int) -> list[str]:
     criteria = np.empty((n, len(orders), len(separability.CRITERIA)))
     errors = np.empty(criteria.shape, dtype=object)
     for stack, idx in _mixed_qubit_stacks(seed, n):
-        ppt[idx] = separability.ppt_stack(stack)[1]
         value[idx] = stack.lambda_phi / stack.dim
         for a, q in enumerate(orders):
-            _, _, criteria[idx, a], errors[idx, a] = bounds.table_columns(
-                stack, q, separability.CRITERIA
-            )
+            parts, _, ppt[idx], _ = separability.verdict_columns(stack, q)
+            criteria[idx, a], errors[idx, a] = parts[2:]
     # Separable (PPT) qubit channels must pass realignment and the criteria.
     rows = np.flatnonzero(ppt)
 
@@ -726,21 +725,21 @@ def _verify_zoo(n: int, seed: int) -> list[str]:
     return lines
 
 
+SUITES = {
+    "bounds": _verify_bounds,
+    "lemmas": _verify_lemmas,
+    "separability": _verify_separability,
+    "zoo": _verify_zoo,
+}
+
+
 def cmd_verify(args) -> int:
-    suites = {
-        "bounds": _verify_bounds,
-        "lemmas": _verify_lemmas,
-        "separability": _verify_separability,
-        "zoo": _verify_zoo,
-    }
-    if args.suite != "all" and args.suite not in suites:
-        raise ValueError(f"unknown suite {args.suite!r}; valid: all, {', '.join(suites)}")
+    if args.suite != "all" and args.suite not in SUITES:
+        raise ValueError(f"unknown suite {args.suite!r}; valid: all, {', '.join(SUITES)}")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    selected = list(suites) if args.suite == "all" else [args.suite]
-    lines: list[str] = []
-    for name in selected:
-        lines += suites[name](args.n, args.seed)
+    selected = list(SUITES) if args.suite == "all" else [args.suite]
+    lines = [line for name in selected for line in SUITES[name](args.n, args.seed)]
     if args.inject_invalid:
         bad = from_superoperator(
             1.5 * np.eye(4, dtype=complex), permissive=True, label="invalid(1.5*id)"
@@ -781,7 +780,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan", help="entropy-plane dataset over a sampled ensemble")
-    p.add_argument("--mode", default="entropy_plane", help="entropy_plane or output_plane")
+    p.add_argument("--mode", default="entropy_plane", help=" or ".join(SCAN_MODES))
     p.add_argument("--ensemble", default="random_cptp", help=", ".join(ENSEMBLES))
     p.add_argument("--n", type=int, default=1000, help="number of sampled channels")
     p.add_argument(
@@ -802,7 +801,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("verify", help="randomized self-checks of the library's claims")
-    p.add_argument("--suite", default="all", help="all, bounds, lemmas, separability, zoo")
+    p.add_argument("--suite", default="all", help=", ".join(("all", *SUITES)))
     p.add_argument("--n", type=int, default=200, help="random instances per check")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument(

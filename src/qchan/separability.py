@@ -6,7 +6,8 @@ three entropic criteria that separability forces, and a region classifier
 for the entropy plane:
 
 * region ``A``: at least one entropic criterion violated — ``omega`` is
-  certifiably entangled, the channel is not entanglement breaking;
+  certifiably entangled, the channel is not entanglement breaking (a
+  criterion that raised, and so has a nan slack, certifies nothing);
 * region ``B``: no certificate either way;
 * region ``C`` (``N = 2`` only): partial transpose is positive, which for a
   two-qubit state is equivalent to separability;
@@ -24,13 +25,13 @@ from .bounds import (
     CHECK_TOL,
     TABLE,
     BoundRecord,
-    bound_columns,
-    column_record,
     json_safe,
     record,
+    table_columns,
+    table_records,
 )
 from .channels import Channel, ChannelStack
-from .matcore import _square_side
+from .matcore import _square_side, renyi_order
 
 PPT_RTOL = 1e-9
 REALIGNMENT_TOL = 1e-9
@@ -98,7 +99,8 @@ def separable_criteria(ch: Channel, q) -> list[BoundRecord]:
 
     They follow from inserting ``L <= N`` (the realignment consequence of a
     separable ``omega``) into the entropy bounds, so violating any one of
-    them certifies entanglement.  Requires ``q >= 1``.
+    them certifies entanglement.  Requires ``q >= 1``; a criterion that
+    raises gives its ``<id>_error`` record, as :func:`bounds.record` does.
     """
     return [record(ch, b.id, q) for b in CRITERIA]
 
@@ -118,33 +120,31 @@ class SeparabilityVerdict:
         return json_safe(asdict(self))
 
 
-def _verdict_columns(stack: ChannelStack, q):
-    """Criteria columns, PPT minima and flags, and regions of a stack."""
-    columns = [bound_columns(stack, q, bound) for bound in CRITERIA]
-    violated = np.zeros(len(stack), dtype=bool)
-    for _, _, slack in columns:
-        violated |= ~(slack >= -CHECK_TOL)
+def verdict_columns(stack: ChannelStack, q, criteria=None):
+    """``(criteria, min_eig, ppt, regions)`` of a stack at Rényi order ``q >= 1``:
+    the :func:`bounds.table_columns` of :data:`CRITERIA` (evaluated unless
+    given), :func:`ppt_stack`, and the region rule of the module docstring.
+    """
+    renyi_order(q, minimum=1.0)
+    if criteria is None:
+        criteria = table_columns(stack, q, CRITERIA)
+    violated = (criteria[2] < -CHECK_TOL).any(axis=1)
     min_eig, ppt = ppt_stack(stack)
     certified = "C" if stack.dim == 2 else "indeterminate"
     regions = np.where(violated, "A", np.where(ppt, certified, "B"))
-    return columns, min_eig, ppt, regions
+    return criteria, min_eig, ppt, regions
 
 
 def classify_regions(stack: ChannelStack, q) -> np.ndarray:
-    """Entropy-plane region of every channel of a stack at Rényi order ``q``.
-
-    ``A`` when an entropic criterion is violated (certified entangled),
-    ``C`` when ``N = 2`` and the partial transpose stays positive (certified
-    separable), ``indeterminate`` for a positive partial transpose at
-    ``N >= 3``, and ``B`` otherwise.
-    """
-    return _verdict_columns(stack, q)[3]
+    """Entropy-plane region (see the module docstring) of every channel of
+    a stack at Rényi order ``q``."""
+    return verdict_columns(stack, q)[3]
 
 
 def classify_region(ch: Channel, q) -> SeparabilityVerdict:
     """Entropy-plane region of the channel at Rényi order ``q``; see
     :func:`classify_regions`."""
-    columns, min_eig, ppt, regions = _verdict_columns(ch.stack, q)
+    criteria, min_eig, ppt, regions = verdict_columns(ch.stack, q)
     value, certified = realignment_test(ch)
     return SeparabilityVerdict(
         realignment_value=value,
@@ -152,5 +152,5 @@ def classify_region(ch: Channel, q) -> SeparabilityVerdict:
         ppt_min_eigenvalue=float(min_eig[0]),
         ppt_pass=bool(ppt[0]),
         region=str(regions[0]),
-        criteria=tuple(column_record(b, c) for b, c in zip(CRITERIA, columns)),
+        criteria=tuple(table_records(CRITERIA, criteria)),
     )

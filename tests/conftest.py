@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from qchan import rng_substream
+from qchan import bounds, rng_substream, separability
 from qchan.zoo import random_bistochastic_stack, random_cptp_stack
 
 CPTP_SEED = 101
@@ -26,3 +28,20 @@ def bistochastic_ensemble():
     ks = [i % 4 + 1 for i in range(10_000)]
     rngs = [rng_substream(BISTOCHASTIC_SEED, i) for i in range(10_000)]
     return _rows(*random_bistochastic_stack(2, ks, rngs))
+
+
+@pytest.fixture
+def plant_criteria(monkeypatch):
+    """``plant(rhs, ids=None)`` gives the separability criteria ``ids`` (all
+    of them by default) the right-hand side ``rhs``, in both ``bounds.TABLE``
+    and ``separability.CRITERIA``, for the rest of the test."""
+
+    def plant(rhs, ids=None):
+        table = tuple(
+            dataclasses.replace(b, rhs=rhs) if b.separable and (ids is None or b.id in ids) else b
+            for b in bounds.TABLE
+        )
+        monkeypatch.setattr(bounds, "TABLE", table)
+        monkeypatch.setattr(separability, "CRITERIA", tuple(b for b in table if b.separable))
+
+    return plant

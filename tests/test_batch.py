@@ -385,6 +385,31 @@ def test_scan_names_the_row_where_a_bound_raises(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_scan_names_the_row_where_a_criterion_raises(
+    tmp_path, capsys, monkeypatch, plant_criteria
+):
+    # as above, for a separability criterion; a bound comes before every criterion
+    def raises_at_row(row):
+        def rhs(stack, q):
+            if len(stack) > 1 or stack.superop[0].tobytes() == rows[row]:
+                raise FloatingPointError("planted failure")
+            return np.zeros(len(stack))
+
+        return rhs
+
+    stack, _ = cli._sample_chunk("random_cptp", 2, 3, range(12), 12)
+    rows = [s.tobytes() for s in stack.superop]
+    plant_criteria(raises_at_row(7), ids={"separable_ratio"})
+    assert main(_scan_args(tmp_path / "scan.csv")) == 2
+    assert capsys.readouterr().err == (
+        "error: bound separable_ratio failed on seed_index 7: FloatingPointError: planted failure\n"
+    )
+    plant_criteria(raises_at_row(2), ids={"separable_ratio"})
+    monkeypatch.setattr(bounds, "TABLE", _patched_table("map_cross_lower", rhs=raises_at_row(9)))
+    assert main(_scan_args(tmp_path / "scan.csv")) == 2
+    assert "error: bound map_cross_lower failed on seed_index 9:" in capsys.readouterr().err
+
+
 def test_scan_names_the_row_of_a_non_finite_bound(tmp_path, capsys, monkeypatch):
     def nan_at_row_5(stack, q):
         return np.where(np.arange(len(stack)) == 5, math.nan, 0.0)

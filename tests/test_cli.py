@@ -158,9 +158,11 @@ def test_analyze_rejects_invalid_channel(tmp_path, capsys):
         ({"dim": 2, "form": "family", "family": {"name": "depolarizing",
                                                   "params": {"alpha": None}}}, "'alpha'"),
         ({"dim": 2, "form": "family", "family": {"name": "pauli", "params": {"p": 5}}}, "'p'"),
+        ({"dim": 2, "form": "family", "family": {"name": "depolarizing",
+                                                  "params": {"alpha": 10**400}}}, "'alpha'"),
     ],
     ids=["dim_null", "dim_list", "dim_fraction", "superop_dim_null", "superop_dim_fraction",
-         "alpha_null", "pauli_p_scalar"],
+         "alpha_null", "pauli_p_scalar", "alpha_beyond_float"],
 )
 def test_analyze_rejects_spec_values_of_the_wrong_type(tmp_path, capsys, doc, field):
     spec = _write_spec(tmp_path, "spec.json", doc)
@@ -168,6 +170,48 @@ def test_analyze_rejects_spec_values_of_the_wrong_type(tmp_path, capsys, doc, fi
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("error:") == 1 and err.endswith("\n")
     assert err.count("\n") == 1 and field in err
+
+
+def _numeric_spec_fields(v):
+    """``{field: (doc, text naming the field)}`` with ``v`` in each numeric
+    field of a channel spec."""
+
+    def family(name, **params):
+        return {"dim": 2, "form": "family", "family": {"name": name, "params": params}}
+
+    return {
+        "dim": ({"dim": v, "form": "family", "family": {"name": "identity"}}, "dim must be"),
+        "alpha": (family("depolarizing", alpha=v), "'alpha'"),
+        "beta": (family("interval", alpha=0.3, beta=v), "'beta'"),
+        "phi1": (family("interval", alpha=0.3, beta=0.6, phi1=v), "'phi1'"),
+        "phi2": (family("interval", alpha=0.3, beta=0.6, phi2=v), "'phi2'"),
+        "p": (family("pauli", p=[0.4, v, 0.2, 0.1]), "'p'[1]"),
+        "eta": (family("reshuffle_invariant", eta=[0.5, v, 0.2]), "'eta'[1]"),
+        "k": (family("random_bistochastic", k=v), "'k'"),
+        "env_dim": (family("random_cptp", env_dim=v), "'env_dim'"),
+        "seed": (family("random_cptp", seed=v), "'seed'"),
+        "index": (family("random_cptp", index=v), "'index'"),
+        "entry": ({"form": "kraus", "matrices": [[[1, 0], [0, v]]]}, "matrices[0]: matrix entry"),
+        "entry_im": (
+            {"form": "kraus", "matrices": [[[1, 0], [0, [1, v]]]]},
+            "matrices[0]: matrix entry",
+        ),
+        "xi": (family("complete_contraction", xi=[[0.5, 0], [0, v]]), "field xi: matrix entry"),
+    }
+
+
+@pytest.mark.parametrize("field", list(_numeric_spec_fields(0)))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True], ids=str)
+def test_analyze_rejects_non_finite_and_boolean_spec_numbers(tmp_path, capsys, field, value):
+    doc, name = _numeric_spec_fields(value)[field]
+    spec = _write_spec(tmp_path, "spec.json", doc)  # NaN, Infinity, -Infinity or true
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        assert main(["analyze", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert name in captured.err and repr(value) in captured.err
 
 
 def test_load_channel_spec_accepts_integral_floats():
@@ -637,6 +681,39 @@ def test_verify_separability_reports_a_criterion_that_raises(capsys, monkeypatch
     assert " worst_slack=nan " in line
     assert line.endswith(f" reproducer=seed=0,index={first},q=1.5,id={criteria[0].id}_error")
     assert "PASS separability.region_examples" in captured.out
+
+
+def test_a_criterion_that_raises_everywhere_ends_no_command_in_a_traceback(
+    tmp_path, capsys, plant_criteria
+):
+    def boom(stack, q):
+        raise FloatingPointError("planted failure")
+
+    plant_criteria(boom, ids={"separable_map_lower"})
+    assert main(["verify", "--suite", "separability", "--n", "8", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "FAIL separability.ppt_implies_criteria " in captured.out
+    assert ",id=separable_map_lower_error" in captured.out
+    assert "PASS separability.region_examples" in captured.out
+
+    assert main(["analyze", "--spec", _family_spec(tmp_path, "identity"), "--q", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (verdict,) = json.loads(captured.out)["separability"]
+    assert verdict["region"] == "A"  # the other two criteria still certify it
+    rec = verdict["criteria"][0]
+    assert rec["id"] == "separable_map_lower_error"
+    assert rec["lhs"] == rec["rhs"] == rec["slack"] == "nan"
+    assert rec["citation"] == "FloatingPointError: planted failure"
+
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--n", "5", "--q", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bound separable_map_lower failed on seed_index 0: "
+        "FloatingPointError: planted failure\n"
+    )
+    assert not out.exists()
 
 
 def test_verify_lemmas_names_a_planted_spectrum_violation(capsys, monkeypatch):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qchan.channels import Channel, from_superoperator
+from qchan.bounds import record
+from qchan.channels import Channel, ChannelStack, from_superoperator
 from qchan.separability import (
     PPT_RTOL,
     REALIGNMENT_TOL,
     classify_region,
+    classify_regions,
     partial_transpose,
     ppt_test,
     realignment_test,
@@ -148,6 +150,48 @@ def test_criteria_hold_for_certified_separable_channels():
 def test_criteria_require_q_at_least_one():
     with pytest.raises(ValueError):
         separable_criteria(identity_channel(2), 0.5)
+
+
+def _planted_failure(stack, q):
+    raise FloatingPointError("planted failure")
+
+
+def test_a_criterion_that_raises_gives_its_error_record(plant_criteria):
+    plant_criteria(_planted_failure, ids={"separable_map_lower"})
+    ch = identity_channel(2)
+    rec = record(ch, "separable_map_lower", 2.0)
+    assert rec.id == "separable_map_lower_error"
+    assert math.isnan(rec.lhs) and math.isnan(rec.rhs) and math.isnan(rec.slack)
+    assert not rec.satisfied and rec.citation == "FloatingPointError: planted failure"
+    ids = ["separable_map_lower_error", "separable_receiver_upper", "separable_ratio"]
+    verdict = classify_region(ch, 2.0)
+    assert [r.id for r in verdict.criteria] == ids
+    assert verdict.criteria[0].citation == rec.citation and math.isnan(verdict.criteria[0].slack)
+    assert [r.id for r in separable_criteria(ch, 2.0)] == ids
+    # the two criteria left still certify entanglement
+    assert verdict.region == "A"
+    with pytest.raises(KeyError):
+        record(ch, "no_such_bound", 2.0)
+    with pytest.raises(ValueError):
+        record(ch, "separable_map_lower", 0.5)
+    with pytest.raises(ValueError):
+        classify_region(ch, 0.5)
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [_planted_failure, lambda stack, q: np.full(len(stack), math.nan)],
+    ids=["raises", "nan"],
+)
+def test_a_criterion_without_a_finite_slack_certifies_nothing(plant_criteria, rhs):
+    plant_criteria(rhs)
+    verdict = classify_region(maximally_depolarizing(2), 2.0)
+    assert verdict.region == "C"
+    assert not any(r.satisfied for r in verdict.criteria)
+    # the identity fails the PPT test, and no criterion is left to certify it
+    assert classify_region(identity_channel(2), 2.0).region == "B"
+    pair = np.stack([identity_channel(2).superop, maximally_depolarizing(2).superop])
+    assert classify_regions(ChannelStack(pair, 2), 2.0).tolist() == ["B", "C"]
 
 
 # ---------------------------------------------------------------------------
