@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import Channel, ChannelStack, ValidationError
 from .entropy import DIAGNOSTICS, Q_ONE_WINDOW, entropies, renyi, spectrum_probabilities
-from .matcore import first_failure, renyi_order, reorder, singular_values
+from .matcore import as_complex_matrix, first_failure, renyi_order, reorder
 from .zoo import rng_stream
 
 # Bound satisfaction margin: slack >= -CHECK_TOL counts as satisfied.
@@ -165,6 +165,57 @@ def sigma1_variational(ch: Channel, budget: int = 2000, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 # matrix-level spectrum bounds
 
+# The lemmas as rows (id, relation, citation), two on X and two on Y.
+LEMMA_ROWS = (
+    ("spectral_entropy_lower", ">=", "ln(L/x1) <= S_q(X)"),
+    ("spectral_entropy_upper", "<=", "S_q(X) <= q/(q-1) ln(L/x1)"),
+    ("reordered_entropy_lower", ">=", "F_min ln(Ly/sqrt(x1 Lx)) <= S_q(Y)"),
+    ("reordered_entropy_upper", "<=", "S_q(Y) <= F_max ln(Ly/x1)"),
+)
+
+
+def lemma_spectra(m, perm=None):
+    """``(sx, y, sy)``: the singular values of a ``(B, r, c)`` stack ``m``
+    and, given ``(B, r * c)`` entry bijections, of ``y = reorder(m, perm)``
+    (else ``None``), each from one batched SVD and sorted descending."""
+    m = as_complex_matrix(m, stack=True)
+    y = None if perm is None else reorder(m, perm)
+    sx, sy = (None if a is None else np.linalg.svd(a, compute_uv=False) for a in (m, y))
+    return sx, y, sy
+
+
+def lemma_columns(sx, sy, q):
+    """``(lhs, rhs, slack)``, each ``(B, k)``, of the first ``k`` rows of
+    :data:`LEMMA_ROWS` at order ``q``, from :func:`lemma_spectra`.  With
+    ``sy``, ``k = 4`` and ``q`` must exceed 1; without it ``k = 2``, or 1 at
+    ``q = 1``, where the upper bound drops out."""
+    if sy is not None and not float(q) > 1.0:
+        raise ValueError(f"reordered-spectrum bounds require q > 1, got {float(q)}")
+    q = renyi_order(q, minimum=1.0)
+    lam_x, x1 = sx.sum(axis=-1), sx[:, 0]
+    if not (lam_x > 0.0).all():
+        raise ValueError("matrix must have at least one nonzero singular value")
+    sq = renyi(spectrum_probabilities(sx), q)
+    rows = [(sq, _spectral_lower(lam_x, x1, q))]
+    if q > 1.0:
+        rows.append((sq, _spectral_upper(lam_x, x1, q)))
+    if sy is not None:
+        lam_y, sq_y = sy.sum(axis=-1), renyi(spectrum_probabilities(sy), q)
+        rows.append((sq_y, _reordered_lower(lam_y, x1, lam_x, q)))
+        rows.append((sq_y, _reordered_upper(lam_y, x1, q)))
+    slack = [_slack(lhs, rhs, rel) for (lhs, rhs), (_, rel, _) in zip(rows, LEMMA_ROWS)]
+    return (*(np.column_stack(part) for part in zip(*rows)), np.column_stack(slack))
+
+
+def _lemma_records(x, perm, q) -> list[BoundRecord]:
+    # the B = 1 case of lemma_spectra and lemma_columns
+    perm = None if perm is None else np.asarray(perm)[None]
+    lhs, rhs, slack = lemma_columns(*lemma_spectra(as_complex_matrix(x)[None], perm)[::2], q)
+    return [
+        _record(rid, lhs[0, j], rhs[0, j], rel, citation, slack[0, j])
+        for j, (rid, rel, citation) in enumerate(LEMMA_ROWS[: lhs.shape[1]])
+    ]
+
 
 def spectral_entropy_bounds(x, q) -> list[BoundRecord]:
     """Bound ``S_q`` of a matrix spectrum by its extreme singular values.
@@ -173,27 +224,7 @@ def spectral_entropy_bounds(x, q) -> list[BoundRecord]:
     ``ln(L/x1) <= S_q(x) <= q/(q-1) ln(L/x1)``.  At ``q = 1`` only the lower
     bound applies; ``q < 1`` is out of range.
     """
-    q = renyi_order(q, minimum=1.0)
-    s = singular_values(x)
-    lam = float(s.sum())
-    if lam <= 0.0:
-        raise ValueError("matrix must have at least one nonzero singular value")
-    x1 = float(s[0])
-    sq = renyi(spectrum_probabilities(s), q)
-    records = [
-        _record(
-            "spectral_entropy_lower", sq, _spectral_lower(lam, x1, q), ">=",
-            "ln(L/x1) <= S_q(X)",
-        )
-    ]
-    if q > 1.0:
-        records.append(
-            _record(
-                "spectral_entropy_upper", sq, _spectral_upper(lam, x1, q), "<=",
-                "S_q(X) <= q/(q-1) ln(L/x1)",
-            )
-        )
-    return records
+    return _lemma_records(x, None, q)
 
 
 def reordered_entropy_bounds(x, perm, q) -> list[BoundRecord]:
@@ -204,27 +235,7 @@ def reordered_entropy_bounds(x, perm, q) -> list[BoundRecord]:
     ``F_min ln(Ly/sqrt(x1 Lx)) <= S_q(Y) <= F_max ln(Ly/x1)``.
     Requires ``q > 1`` (``inf`` allowed).
     """
-    q = float(q)
-    if math.isnan(q) or q <= 1.0:
-        raise ValueError(f"reordered-spectrum bounds require q > 1, got {q}")
-    sx = singular_values(x)
-    y = reorder(x, perm)
-    sy = singular_values(y)
-    lam_x, x1 = float(sx.sum()), float(sx[0])
-    lam_y = float(sy.sum())
-    if lam_x <= 0.0:
-        raise ValueError("matrix must have at least one nonzero singular value")
-    sq = renyi(spectrum_probabilities(sy), q)
-    return [
-        _record(
-            "reordered_entropy_lower", sq, _reordered_lower(lam_y, x1, lam_x, q), ">=",
-            "F_min ln(Ly/sqrt(x1 Lx)) <= S_q(Y)",
-        ),
-        _record(
-            "reordered_entropy_upper", sq, _reordered_upper(lam_y, x1, q), "<=",
-            "S_q(Y) <= F_max ln(Ly/x1)",
-        ),
-    ]
+    return _lemma_records(x, perm, q)[2:]
 
 
 # ---------------------------------------------------------------------------

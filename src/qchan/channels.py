@@ -227,6 +227,11 @@ class ChannelStack:
         return self.output_eigenvalues[:, 0]
 
 
+def _stack_entry(name: str, cast=lambda value: value, doc: str | None = None) -> property:
+    """A :class:`Channel` property: ``cast`` of entry 0 of its stack's ``name``."""
+    return property(lambda ch: cast(getattr(ch.stack, name)[0]), doc=doc)
+
+
 class Channel:
     """A linear map on N x N density matrices, stored as its N^2 x N^2 superoperator.
 
@@ -268,64 +273,39 @@ class Channel:
         self.meta = dict(meta) if meta else {}
         self._kraus = None
 
-    # -- stored data ----------------------------------------------------
+    # -- data: each property reads this channel's entry of its stack -----
 
     @property
     def dim(self) -> int:
         return self.stack.dim
 
-    @property
-    def superop(self) -> np.ndarray:
-        return self.stack.superop[0]
-
-    @property
-    def choi(self) -> np.ndarray:
-        """Dynamical matrix ``D = reshuffle(superop)``."""
-        return self.stack.choi[0]
+    superop = _stack_entry("superop")
+    choi = _stack_entry("choi", doc="Dynamical matrix ``D = reshuffle(superop)``.")
 
     @property
     def choi_eigenvalues(self) -> np.ndarray | None:
         """Choi eigenvalues, descending; ``None`` when ``D`` is not Hermitian."""
         return self.stack.choi_eigenvalues[0] if self.stack.hermitian[0] else None
 
-    @property
-    def choi_psd_tol(self) -> float:
-        """Negativity allowed in a Choi eigenvalue, ``PSD_RTOL * |D|_2``."""
-        return float(self.stack.choi_psd_tol[0])
-
-    @property
-    def cp(self) -> bool:
-        return bool(self.stack.cp[0])
-
-    @property
-    def tp(self) -> bool:
-        return bool(self.stack.tp[0])
-
-    @property
-    def unital(self) -> bool:
-        return bool(self.stack.unital[0])
-
-    # -- derived data ---------------------------------------------------
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        """Singular values of the superoperator, descending."""
-        return self.stack.singular_values[0]
-
-    @property
-    def sigma1(self) -> float:
-        """Largest singular value of the superoperator."""
-        return float(self.stack.sigma1[0])
-
-    @property
-    def lambda_phi(self) -> float:
-        """Trace norm of the superoperator (sum of its singular values)."""
-        return float(self.stack.lambda_phi[0])
-
-    @property
-    def d1(self) -> float:
-        """Largest eigenvalue of the Choi matrix."""
-        return float(self.stack.d1[0])
+    choi_psd_tol = _stack_entry(
+        "choi_psd_tol", float, "Negativity allowed in a Choi eigenvalue, ``PSD_RTOL * |D|_2``."
+    )
+    cp, tp, unital = (_stack_entry(name, bool) for name in ("cp", "tp", "unital"))
+    singular_values = _stack_entry(
+        "singular_values", doc="Singular values of the superoperator, descending."
+    )
+    sigma1 = _stack_entry("sigma1", float, "Largest singular value of the superoperator.")
+    lambda_phi = _stack_entry(
+        "lambda_phi", float, "Trace norm of the superoperator (sum of its singular values)."
+    )
+    d1 = _stack_entry("d1", float, "Largest eigenvalue of the Choi matrix.")
+    output_state = _stack_entry(
+        "output_state", doc="Image of the maximally mixed state, ``Phi(1/N)``."
+    )
+    output_eigenvalues = _stack_entry(
+        "output_eigenvalues", doc="Eigenvalues of ``Phi(1/N)``, descending."
+    )
+    tau1 = _stack_entry("tau1", float, "Largest eigenvalue of ``Phi(1/N)``.")
 
     @property
     def kraus(self) -> list[np.ndarray]:
@@ -333,21 +313,6 @@ class Channel:
         if self._kraus is None:
             self._kraus = choi_to_kraus(self.choi, dim=self.dim)
         return self._kraus
-
-    @property
-    def output_state(self) -> np.ndarray:
-        """Image of the maximally mixed state, ``Phi(1/N)``."""
-        return self.stack.output_state[0]
-
-    @property
-    def output_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of ``Phi(1/N)``, descending."""
-        return self.stack.output_eigenvalues[0]
-
-    @property
-    def tau1(self) -> float:
-        """Largest eigenvalue of ``Phi(1/N)``."""
-        return float(self.stack.tau1[0])
 
     # -- actions ----------------------------------------------------------
 

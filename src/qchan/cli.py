@@ -30,7 +30,7 @@ from . import bounds, entropy, separability, zoo
 from .bounds import json_safe
 from .channels import Channel, ChannelStack, ValidationError
 from .channels import from_choi, from_kraus, from_superoperator
-from .matcore import renyi_order
+from .matcore import kron, random_permutation, renyi_order, reshuffle
 
 FAMILY_NAMES = (
     "identity",
@@ -56,8 +56,10 @@ ENSEMBLES = (
 
 CURVES = ("ab", "interval_cd", "diagonal_Rinv")
 
-# Smallest and largest system dimension N accepted by family specs and scan.
+# Smallest and largest system dimension N accepted by family specs and scan,
+# and of the sizes k (random_bistochastic) and env_dim (random_cptp).
 DIM_LIMITS = (2, 8)
+SIZE_LIMITS = (1, 1024)
 
 # Byte budget of one stacked (B, N^2, N^2) complex array in a scan chunk;
 # it sets the rows per chunk, so memory stays flat as N grows.
@@ -169,11 +171,11 @@ def _build_family(name: str, params: dict, dim: int) -> Channel:
         return zoo.reshuffle_invariant(eta, u)
     if name in ("random_cptp", "random_bistochastic"):
         seed, index = (_param(params, key, name, 0, integer=True) for key in ("seed", "index"))
-        rng = zoo.rng_substream(seed, index)
-        if name == "random_cptp":
-            env_dim = _param(params, "env_dim", name, dim * dim, integer=True)
-            return zoo.random_cptp(dim, env_dim, rng)
-        return zoo.random_bistochastic(dim, _param(params, "k", name, 2, integer=True), rng)
+        key, default = ("env_dim", dim * dim) if name == "random_cptp" else ("k", 2)
+        size = _param(params, key, name, default, integer=True)
+        _check_range(size, f"family {name!r}: parameter {key!r}", SIZE_LIMITS)
+        sample = zoo.random_cptp if name == "random_cptp" else zoo.random_bistochastic
+        return sample(dim, size, zoo.rng_substream(seed, index))
     raise ValueError(f"unknown family {name!r}; valid names: {', '.join(FAMILY_NAMES)}")
 
 
@@ -193,7 +195,7 @@ def load_channel_spec(doc) -> Channel:
         fam = doc.get("family")
         if not isinstance(fam, dict) or "name" not in fam:
             raise ValueError('family form needs a "family" object with a "name"')
-        dim = _check_dim(_number(doc.get("dim", 2), "dim", integer=True), "dim")
+        dim = _check_range(_number(doc.get("dim", 2), "dim", integer=True), "dim")
         params = fam.get("params", {})
         if not isinstance(params, dict):
             raise ValueError('"params" must be an object')
@@ -218,7 +220,7 @@ def load_channel_spec(doc) -> Channel:
         )
     if declared is not None and ch.dim != declared:
         raise ValueError(f"declared dim {declared} but the channel has dim {ch.dim}")
-    _check_dim(ch.dim, "dim")
+    _check_range(ch.dim, "dim")
     return ch
 
 
@@ -251,11 +253,11 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _check_dim(dim: int, name: str) -> int:
-    low, high = DIM_LIMITS
-    if not low <= dim <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {dim}")
-    return dim
+def _check_range(value: int, name: str, limits=DIM_LIMITS) -> int:
+    low, high = limits
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
 
 
 def _gnuplot_script(csv_path: str, xcol: int, ycol: int, xlabel: str, ylabel: str) -> str:
@@ -381,7 +383,7 @@ def cmd_scan(args) -> int:
         raise ValueError(f"unknown ensemble {args.ensemble!r}; valid: {', '.join(ENSEMBLES)}")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    _check_dim(args.dim, "--dim")
+    _check_range(args.dim, "--dim")
     q = _parse_q(args.q)
     if q < 1.0:
         raise ValueError("scan requires q >= 1 (bound columns are undefined below)")
@@ -549,42 +551,49 @@ def _verify_bounds(n: int, seed: int) -> list[str]:
 
 
 def _verify_lemmas(n: int, seed: int) -> list[str]:
-    from .matcore import q_norm, random_permutation, reorder
-
     orders = (1.5, 2.0, 4.0)
-    interp, dev = np.empty((n, len(orders))), np.empty(n)
-    spectral, reordered = [], []  # records in (index, q, record) order
+    draws = []  # (m, perm) of matrix i, from its own substream
     for i in range(n):
         rng = zoo.rng_substream(seed, i)
         size = int(rng.integers(4, 10))
         m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        perm = random_permutation(size * size, rng)
-        y = reorder(m, perm)
-        dev[i] = abs(np.linalg.norm(m) - np.linalg.norm(y))
-        trace_norm, spectral_norm = q_norm(m, 1.0), q_norm(m, math.inf)
+        draws.append((m, random_permutation(size * size, rng)))
+    interp, dev = np.empty((n, len(orders))), np.empty(n)
+    slack = np.empty((n, len(orders), len(bounds.LEMMA_ROWS)))  # (index, q, row)
+    for size in sorted({len(m) for m, _ in draws}):  # one stack per matrix size
+        idx = [i for i, (m, _) in enumerate(draws) if len(m) == size]
+        m, perm = (np.array([draws[i][k] for i in idx]) for k in (0, 1))
+        sx, y, sy = bounds.lemma_spectra(m, perm)
+        # one norm per matrix: a stacked norm adds up the entries in another order
+        dev[idx] = [abs(np.linalg.norm(a) - np.linalg.norm(b)) for a, b in zip(m, y)]
+        extremes = list(zip(sx.sum(axis=-1).tolist(), sx[:, 0].tolist()))  # trace, spectral
         for a, q in enumerate(orders):
-            lhs = q_norm(m, q)
-            rhs = trace_norm ** (1.0 / q) * spectral_norm ** ((q - 1.0) / q)
-            interp[i, a] = rhs - lhs
-            spectral += bounds.spectral_entropy_bounds(m, q)
-            reordered += bounds.reordered_entropy_bounds(m, perm, q)
+            # Schatten norms from sx; the outer powers act on Python floats, as
+            # in q_norm, since an array ** rounds differently
+            sums = np.sum(sx**q, axis=-1).tolist()
+            interp[idx, a] = [
+                t ** (1.0 / q) * x1 ** ((q - 1.0) / q) - p ** (1.0 / q)
+                for (t, x1), p in zip(extremes, sums)
+            ]
+            slack[idx, a] = bounds.lemma_columns(sx, sy, q)[2]
 
     def interp_case(k: int) -> str:
         i, a = np.unravel_index(k, interp.shape)
         return f"seed={seed},index={i},q={orders[a]}"
 
-    def record_check(name: str, records: list) -> str:
-        def case(k: int) -> str:
-            i, a, _ = np.unravel_index(k, (n, len(orders), 2))
-            return f"seed={seed},index={i},q={orders[a]},id={records[k].id}"
+    def lemma_check(name: str, rows: slice) -> str:
+        ids = [rid for rid, _, _ in bounds.LEMMA_ROWS[rows]]
 
-        slacks = np.array([r.slack for r in records]).reshape(n, len(orders), 2)
-        return _check(name, slacks, case, 1e-10)
+        def case(k: int) -> str:
+            i, a, j = np.unravel_index(k, (n, len(orders), len(ids)))
+            return f"seed={seed},index={i},q={orders[a]},id={ids[j]}"
+
+        return _check(name, slack[..., rows], case, 1e-10)
 
     return [
         _check("lemmas.norm_interpolation", interp, interp_case, 1e-10),
-        record_check("lemmas.spectrum_vs_extremes", spectral),
-        record_check("lemmas.reordered_spectrum", reordered),
+        lemma_check("lemmas.spectrum_vs_extremes", slice(0, 2)),
+        lemma_check("lemmas.reordered_spectrum", slice(2, 4)),
         _check(
             "lemmas.reorder_norm_invariance",
             1e-12 - dev,
@@ -639,26 +648,23 @@ def _verify_separability(n: int, seed: int) -> list[str]:
 
 
 def _verify_zoo(n: int, seed: int) -> list[str]:
-    from .matcore import reshuffle
-
-    devs = []
+    draws = []  # factors x0..x3 and matrix y of instance i, from its own substream
     for i in range(n):
         rng = zoo.rng_substream(seed, i)
         sub = int(rng.integers(2, 4))
-        xs = [
-            rng.standard_normal((sub, sub)) + 1j * rng.standard_normal((sub, sub))
-            for _ in range(4)
-        ]
-        y = rng.standard_normal((sub * sub, sub * sub)) + 1j * rng.standard_normal(
-            (sub * sub, sub * sub)
-        )
-        lhs = reshuffle(np.kron(xs[0], xs[1]) @ y @ np.kron(xs[2], xs[3]))
-        rhs = np.kron(xs[0], xs[2].T) @ reshuffle(y) @ np.kron(xs[1].T, xs[3])
-        devs.append(float(np.linalg.norm(lhs - rhs)))
+        shapes = [(sub, sub)] * 4 + [(sub * sub, sub * sub)]
+        draws.append([rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes])
+    devs = np.empty(n)
+    for sub in sorted({len(d[0]) for d in draws}):  # one stack per factor size
+        idx = [i for i, d in enumerate(draws) if len(d[0]) == sub]
+        x0, x1, x2, x3, y = (np.array([draws[i][k] for i in idx]) for k in range(5))
+        lhs = reshuffle(kron(x0, x1) @ y @ kron(x2, x3))
+        rhs = kron(x0, x2.swapaxes(1, 2)) @ reshuffle(y) @ kron(x1.swapaxes(1, 2), x3)
+        devs[idx] = [np.linalg.norm(d) for d in lhs - rhs]  # one norm per matrix
     lines = [
         _check(
             "zoo.reshuffle_conjugation_rule",
-            1e-12 - np.array(devs),
+            1e-12 - devs,
             lambda k: f"seed={seed},index={k},dev={devs[k]:.3e}",
         )
     ]
@@ -706,15 +712,22 @@ def _verify_zoo(n: int, seed: int) -> list[str]:
         )
     )
 
-    errors = []  # None for a sample that passed validation
-    for i in range(min(n, 100)):
-        rng = zoo.rng_substream(seed, 30_000 + i)
-        for sample in (zoo.random_interval_channel, zoo.random_pauli_channel):
-            try:
-                sample(rng)
-                errors.append(None)
-            except ValidationError as exc:
-                errors.append(f"seed={seed},index={i},error={exc}")
+    # Each substream draws its interval map, then its Pauli channel; when a
+    # stack fails validation, fresh substreams redraw one sample at a time.
+    m = min(n, 100)
+    errors = [None] * (2 * m)  # None for a sample that passed validation
+    rngs = [zoo.rng_substream(seed, 30_000 + i) for i in range(m)]
+    try:
+        zoo.random_interval_stack(rngs)
+        zoo.random_pauli_stack(rngs)
+    except ValidationError:
+        for i in range(m):
+            rng = zoo.rng_substream(seed, 30_000 + i)
+            for j, sample in enumerate((zoo.random_interval_channel, zoo.random_pauli_channel)):
+                try:
+                    sample(rng)
+                except ValidationError as exc:
+                    errors[2 * i + j] = f"seed={seed},index={i},error={exc}"
     lines.append(
         _check(
             "zoo.families_pass_validation",

@@ -26,11 +26,13 @@ PAULI = (
 )
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a 2-D complex array, rejecting NaN/Inf entries."""
+def as_complex_matrix(m, stack: bool = False) -> np.ndarray:
+    """Coerce ``m`` to a 2-D complex array, or with ``stack`` to a 3-D stack
+    of matrices, rejecting NaN/Inf entries."""
     out = np.asarray(m, dtype=complex)
-    if out.ndim != 2:
-        raise ValueError(f"expected a matrix, got an array of shape {out.shape}")
+    if out.ndim != 2 + stack:
+        what = "a stack of matrices" if stack else "a matrix"
+        raise ValueError(f"expected {what}, got an array of shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix contains non-finite entries")
     return out
@@ -58,12 +60,12 @@ def reshuffle(m, block: int | None = None) -> np.ndarray:
     With composite indices, ``out[(k, m), (l, n)] = in[(k, l), (m, n)]``.
     This is the involution that maps a channel's superoperator matrix onto
     its dynamical (Choi) matrix and back.  ``block`` fixes the block size n;
-    by default it is inferred from the matrix size.
+    by default it is inferred from the matrix size.  A ``(B, n^2, n^2)``
+    stack is reshuffled matrix by matrix.
     """
-    m = as_complex_matrix(m)
+    m = as_complex_matrix(m, stack=np.ndim(m) == 3)
     n = _square_side(m, block)
-    d = n * n
-    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(d, d)
+    return m.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(m.shape)
 
 
 def reshuffle_permutation(block: int) -> np.ndarray:
@@ -76,6 +78,13 @@ def reshuffle_permutation(block: int) -> np.ndarray:
     d = block * block
     idx = np.arange(d * d).reshape(block, block, block, block)
     return idx.transpose(0, 2, 1, 3).reshape(-1)
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a[i], b[i])`` for two stacks of matrices, formed as
+    :func:`numpy.kron` forms it, by one broadcast multiply."""
+    shape = (len(a), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(shape)
 
 
 def identity_permutation(size: int) -> np.ndarray:
@@ -92,20 +101,19 @@ def reorder(m, perm) -> np.ndarray:
     """Permute matrix entries: ``out.flat[j] = m.flat[perm[j]]`` (row-major).
 
     ``perm`` must be a bijection on ``0 .. m.size - 1``; the multiset of
-    entries, and hence the Hilbert-Schmidt norm, is preserved exactly.
+    entries, and hence the Hilbert-Schmidt norm, is preserved exactly.  A
+    ``(B, r, c)`` stack takes a ``(B, r * c)`` array, one bijection per matrix.
     """
-    m = as_complex_matrix(m)
+    m = as_complex_matrix(m, stack=np.ndim(m) == 3)
     perm = np.asarray(perm)
-    if perm.ndim != 1 or not np.issubdtype(perm.dtype, np.integer):
-        raise ValueError("permutation must be a 1-D integer array")
-    if perm.size != m.size:
-        raise ValueError(
-            f"permutation acts on {perm.size} entries but the matrix has {m.size}"
-        )
-    counts = np.bincount(perm, minlength=m.size)
-    if perm.min(initial=0) < 0 or np.any(counts != 1):
+    if perm.ndim != m.ndim - 1 or perm.shape[:-1] != m.shape[:-2]:
+        raise ValueError("permutation must be a 1-D integer array, one per matrix")
+    size = m.shape[-2] * m.shape[-1]
+    if not np.issubdtype(perm.dtype, np.integer) or perm.shape[-1] != size:
+        raise ValueError(f"permutation must be integers acting on the matrix's {size} entries")
+    if not (np.sort(perm, axis=-1) == np.arange(size)).all():
         raise ValueError("permutation is not a bijection on the entry indices")
-    return m.ravel()[perm].reshape(m.shape)
+    return np.take_along_axis(m.reshape(perm.shape), perm, axis=-1).reshape(m.shape)
 
 
 def singular_values(m) -> np.ndarray:

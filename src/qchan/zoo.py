@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import Channel, ChannelStack, _check_isometry, check_state, isometry_superops
 from .entropy import check_probabilities
-from .matcore import PAULI, as_complex_matrix
+from .matcore import PAULI, as_complex_matrix, kron
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -188,7 +188,7 @@ def _reshuffle_invariant_stack(eta: np.ndarray, u=None, index=None):
     labels = [f"reshuffle_invariant(eta=({a:g},{b:g},{c:g}))" for a, b, c in eta]
     if u is not None:
         # One 2-D product per map: a batched matmul rounds differently.
-        base = np.array([w @ m @ w.conj().T for w, m in zip(_kron_conj(u), base)])
+        base = np.array([w @ m @ w.conj().T for w, m in zip(kron(u, u.conj()), base)])
         labels = [label + "*U" for label in labels]
     return ChannelStack(base, 2, index=index), labels
 
@@ -252,13 +252,6 @@ def _single(sampled, label=None, meta=None) -> Channel:
     return stack.channel(label=label or labels[0], meta=meta)
 
 
-def _kron_conj(u: np.ndarray) -> np.ndarray:
-    """``kron(u[i], conj(u[i]))`` for a ``(B, n, n)`` stack, formed as
-    :func:`numpy.kron` forms it, by one broadcast multiply."""
-    b, n, _ = u.shape
-    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(b, n * n, n * n)
-
-
 def random_cptp(dim: int, env_dim: int, rng: np.random.Generator, *, label=None) -> Channel:
     """Random channel from a Haar Stinespring isometry into system x environment.
 
@@ -310,8 +303,8 @@ def random_bistochastic_stack(dim: int, ks, rngs, *, index=None):
     # Terms are added one index at a time, in the order the sum is written.
     for t in range(max(ks, default=0)):
         rows = [i for i, k in enumerate(ks) if k > t]
-        w = np.array([weights[i][t] for i in rows])[:, None, None]
-        superops[rows] += w * _kron_conj(unitaries[first[rows] + t])
+        w, u = np.array([weights[i][t] for i in rows])[:, None, None], unitaries[first[rows] + t]
+        superops[rows] += w * kron(u, u.conj())
     stack = ChannelStack(superops, dim, index=index)
     return stack, [f"random_bistochastic(N={dim},k={k})" for k in ks]
 
@@ -332,7 +325,7 @@ def _pauli_stack(p: np.ndarray, index=None):
     ops = np.sqrt(np.maximum(p, 0.0))[:, :, None, None] * np.array(PAULI)
     superops = np.zeros((len(p), 4, 4), dtype=complex)
     for t in range(4):
-        superops += _kron_conj(ops[:, t])
+        superops += kron(ops[:, t], ops[:, t].conj())
     labels = ["pauli(" + ",".join(f"{w:g}" for w in row) + ")" for row in p]
     return ChannelStack(superops, 2, index=index), labels
 

@@ -23,7 +23,7 @@ from qchan.bounds import (
 )
 from qchan.channels import ValidationError, from_kraus, from_superoperator
 from qchan.entropy import map_entropy, output_entropy, receiver_entropy, renyi
-from qchan.matcore import reshuffle_permutation
+from qchan.matcore import reorder, reshuffle_permutation
 from qchan.separability import classify_region
 from qchan.zoo import (
     coarse_graining,
@@ -145,6 +145,44 @@ def test_spectral_entropy_bounds_random_sweep():
 def test_spectral_entropy_bounds_rejects_zero_matrix():
     with pytest.raises(ValueError):
         spectral_entropy_bounds(np.zeros((3, 3)), 2.0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lemma_columns_are_bit_identical_to_the_one_matrix_records(seed):
+    # the draws of verify --suite lemmas --n 100: sizes 4-9, grouped by size
+    draws = []
+    for i in range(100):
+        rng = rng_substream(seed, i)
+        size = int(rng.integers(4, 10))
+        m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        draws.append((m, rng.permutation(size * size)))
+    for size in {len(m) for m, _ in draws}:
+        group = [(m, p) for m, p in draws if len(m) == size]
+        sx, y, sy = bounds.lemma_spectra(*(np.array(part) for part in zip(*group)))
+        assert np.array_equal(y, [reorder(m, p) for m, p in group])
+        for q in (1.5, 2.0, 4.0):
+            columns = np.stack(bounds.lemma_columns(sx, sy, q), axis=-1)  # (B, 4, 3)
+            for (m, perm), got in zip(group, columns):
+                want = spectral_entropy_bounds(m, q) + reordered_entropy_bounds(m, perm, q)
+                assert [r.id for r in want] == [rid for rid, _, _ in bounds.LEMMA_ROWS]
+                assert np.array_equal(got, [(r.lhs, r.rhs, r.slack) for r in want])
+
+
+def test_lemma_columns_keep_the_one_matrix_errors():
+    good = np.eye(3)[None]
+    sx, _, sy = bounds.lemma_spectra(good, np.arange(9)[None])
+    assert bounds.lemma_columns(sx, None, 1.0)[0].shape == (1, 1)
+    with pytest.raises(ValueError, match="q > 1"):
+        bounds.lemma_columns(sx, sy, 1.0)
+    with pytest.raises(ValueError, match="Rényi order"):
+        bounds.lemma_columns(sx, None, 0.5)
+    with pytest.raises(ValueError, match="nonzero singular value"):
+        sx, _, _ = bounds.lemma_spectra(np.array([np.eye(3), np.zeros((3, 3))]))
+        bounds.lemma_columns(sx, None, 2.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        bounds.lemma_spectra(np.array([np.eye(3), np.full((3, 3), np.nan)]))
+    with pytest.raises(ValueError, match="not a bijection"):
+        bounds.lemma_spectra(good, np.zeros((1, 9), dtype=int))
 
 
 def test_reordered_entropy_bounds_requires_q_above_one():

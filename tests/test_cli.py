@@ -160,9 +160,16 @@ def test_analyze_rejects_invalid_channel(tmp_path, capsys):
         ({"dim": 2, "form": "family", "family": {"name": "pauli", "params": {"p": 5}}}, "'p'"),
         ({"dim": 2, "form": "family", "family": {"name": "depolarizing",
                                                   "params": {"alpha": 10**400}}}, "'alpha'"),
+        *(
+            ({"dim": 2, "form": "family", "family": {"name": name, "params": {key: value}}},
+             f"parameter {key!r} must be in [1, 1024], got {value}")
+            for name, key in (("random_bistochastic", "k"), ("random_cptp", "env_dim"))
+            for value in (0, 1025, 10**30)
+        ),
     ],
     ids=["dim_null", "dim_list", "dim_fraction", "superop_dim_null", "superop_dim_fraction",
-         "alpha_null", "pauli_p_scalar", "alpha_beyond_float"],
+         "alpha_null", "pauli_p_scalar", "alpha_beyond_float", "k_0", "k_1025", "k_31_digits",
+         "env_dim_0", "env_dim_1025", "env_dim_31_digits"],
 )
 def test_analyze_rejects_spec_values_of_the_wrong_type(tmp_path, capsys, doc, field):
     spec = _write_spec(tmp_path, "spec.json", doc)
@@ -718,19 +725,25 @@ def test_a_criterion_that_raises_everywhere_ends_no_command_in_a_traceback(
 
 def test_verify_lemmas_names_a_planted_spectrum_violation(capsys, monkeypatch):
     # the upper bound of matrix 2 at its third order, q = 4, gets a negative
-    # slack; the suite calls spectral_entropy_bounds once per (index, order)
-    real = bounds.spectral_entropy_bounds
-    calls = []
+    # slack in the stacked evaluator, which finds its row by its spectrum
+    rng = zoo.rng_substream(0, 2)
+    size = int(rng.integers(4, 10))
+    m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    target = np.linalg.svd(m, compute_uv=False)
+    real = bounds.lemma_columns
+    planted_rows = []
 
-    def planted(x, q):
-        records = real(x, q)
-        if len(calls) == 3 * 2 + 2:
-            records[1] = dataclasses.replace(records[1], slack=-1.0)
-        calls.append(q)
-        return records
+    def planted(sx, sy, q):
+        lhs, rhs, slack = real(sx, sy, q)
+        if q == 4.0 and sx.shape[1] == size:
+            rows = np.flatnonzero((sx == target).all(axis=1))
+            slack[rows, 1] = -1.0
+            planted_rows.extend(rows)
+        return lhs, rhs, slack
 
-    monkeypatch.setattr(bounds, "spectral_entropy_bounds", planted)
+    monkeypatch.setattr(bounds, "lemma_columns", planted)
     assert main(["verify", "--suite", "lemmas", "--n", "5", "--seed", "0"]) == 1
+    assert len(planted_rows) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == (
         "FAIL lemmas.spectrum_vs_extremes checks=30 worst_slack=-1.000000e+00 "
@@ -739,19 +752,46 @@ def test_verify_lemmas_names_a_planted_spectrum_violation(capsys, monkeypatch):
     assert [line.split()[0] for line in lines[:4]] == ["PASS", "FAIL", "PASS", "PASS"]
 
 
-def test_verify_lemmas_takes_the_extreme_norms_once_per_matrix(capsys, monkeypatch):
+def test_verify_lemmas_takes_two_svds_per_matrix_size(capsys, monkeypatch):
     from qchan import matcore
 
-    real = matcore.q_norm
+    real = np.linalg.svd
+    svds, norms = [], []
+
+    def counting(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(matcore, "q_norm", lambda m, q: norms.append(q))
+    assert main(["verify", "--suite", "lemmas", "--n", "100", "--seed", "0"]) == 0
+    sizes = {int(zoo.rng_substream(0, i).integers(4, 10)) for i in range(100)}
+    assert len(sizes) == 6
+    assert 0 < len(svds) <= 2 * len(sizes) and all(len(shape) == 3 for shape in svds)
+    assert norms == []
+    capsys.readouterr()
+
+
+def test_verify_zoo_names_the_one_family_sample_that_does_not_validate(capsys, monkeypatch):
+    def inflated(rngs, *, index=None):  # Pauli weights that sum to 1.5 for sample 2 only
+        p = np.array([rng.dirichlet(np.ones(4)) for rng in rngs])
+        p[[rng.bit_generator.seed_seq.entropy == (0, 30_002) for rng in rngs]] *= 1.5
+        return zoo._pauli_stack(p, index)
+
+    monkeypatch.setattr(zoo, "random_pauli_stack", inflated)
+    assert main(["verify", "--suite", "zoo", "--n", "4", "--seed", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL zoo.families_pass_validation checks=8 worst_slack=-1.000000e+00 " in out
+    assert "reproducer=seed=0,index=2,error=TP fails" in out
+    assert out.endswith("verify: 4 passed, 1 failed (suite=zoo, n=4, seed=0)\n")
+
+
+def test_verify_zoo_samples_the_families_as_stacks(capsys, monkeypatch):
     calls = []
-
-    def counting(m, q):
-        calls.append(q)
-        return real(m, q)
-
-    monkeypatch.setattr(matcore, "q_norm", counting)
-    assert main(["verify", "--suite", "lemmas", "--n", "5", "--seed", "0"]) == 0
-    assert len(calls) == 25  # 1, inf and the three orders, per matrix
+    for name in ("random_interval_channel", "random_pauli_channel"):
+        monkeypatch.setattr(zoo, name, calls.append)
+    assert main(["verify", "--suite", "zoo", "--n", "100", "--seed", "3"]) == 0
+    assert calls == []
     capsys.readouterr()
 
 

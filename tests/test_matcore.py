@@ -6,6 +6,7 @@ import pytest
 from qchan.matcore import (
     hermitian_eigenvalues,
     identity_permutation,
+    kron,
     q_norm,
     random_permutation,
     reorder,
@@ -84,6 +85,45 @@ def test_reorder_rejects_non_permutation():
         reorder(m, np.array([0, 0, 1, 2]))
     with pytest.raises(ValueError):
         reorder(m, np.array([0, 1, 2]))
+
+
+def test_reorder_and_reshuffle_act_on_each_matrix_of_a_stack():
+    rng = np.random.default_rng(14)
+    m = np.array([_ginibre(rng, 9) for _ in range(5)])
+    perm = np.array([random_permutation(81, rng) for _ in range(5)])
+    assert np.array_equal(reorder(m, perm), [reorder(a, p) for a, p in zip(m, perm)])
+    assert np.array_equal(reshuffle(m), [reshuffle(a) for a in m])
+
+
+def test_reorder_checks_every_permutation_of_a_stack():
+    m = np.zeros((3, 2, 2), dtype=complex)
+    perm = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [0, 1, 2, 3]])
+    assert reorder(m, perm).shape == m.shape
+    for bad in ([0, 1, 1, 3], [0, 1, 2, 4], [-1, 1, 2, 3]):
+        perm[1] = bad
+        with pytest.raises(ValueError, match="not a bijection"):
+            reorder(m, perm)
+    with pytest.raises(ValueError, match="one per matrix"):
+        reorder(m, perm[:2])
+    with pytest.raises(ValueError, match="acting on the matrix's 4 entries"):
+        reorder(m, perm[:, :3])
+
+
+def test_kron_of_stacks_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(15)
+    a, b = (np.array([_ginibre(rng, 3, 2) for _ in range(4)]) for _ in range(2))
+    assert np.array_equal(kron(a, b.swapaxes(1, 2)), [np.kron(x, y.T) for x, y in zip(a, b)])
+
+
+@pytest.mark.parametrize("size", range(4, 10))
+def test_stacked_svd_gives_the_bits_of_the_one_matrix_call(size):
+    # the verify lemma suite takes one SVD per size group and prints the same
+    # digits as one SVD per matrix, which rests on this
+    rng = np.random.default_rng(size)
+    m = np.array([_ginibre(rng, size) for _ in range(50)])
+    stacked = np.linalg.svd(m, compute_uv=False)
+    assert np.array_equal(stacked, [np.linalg.svd(a, compute_uv=False) for a in m])
+    assert np.array_equal(stacked, [singular_values(a) for a in m])
 
 
 def test_singular_values_descending_and_consistent():
