@@ -176,8 +176,8 @@ def test_lemma_columns_keep_the_one_matrix_errors():
         bounds.lemma_columns(sx, sy, 1.0)
     with pytest.raises(ValueError, match="Rényi order"):
         bounds.lemma_columns(sx, None, 0.5)
+    sx, _, _ = bounds.lemma_spectra(np.array([np.eye(3), np.zeros((3, 3))]))
     with pytest.raises(ValueError, match="nonzero singular value"):
-        sx, _, _ = bounds.lemma_spectra(np.array([np.eye(3), np.zeros((3, 3))]))
         bounds.lemma_columns(sx, None, 2.0)
     with pytest.raises(ValueError, match="non-finite"):
         bounds.lemma_spectra(np.array([np.eye(3), np.full((3, 3), np.nan)]))
