@@ -23,13 +23,14 @@ from .matcore import (
     reshuffle,
 )
 
-# Trace-preservation tolerance on |sum A^dag A - 1|_2 and on Choi marginals.
+# ChannelStack's trace-preservation and unitality tolerance: Choi marginal,
+# Choi trace and Phi(1/N).
 TP_TOL = 1e-9
 # Complete positivity: Choi eigenvalues above -PSD_RTOL * |D|_2 count as >= 0.
 PSD_RTOL = 1e-9
 # Choi eigenvalues below KRAUS_RTOL * lambda_max are dropped by choi_to_kraus.
 KRAUS_RTOL = 1e-12
-# Unitarity / isometry tolerance on |V^dag V - 1|_2.
+# The one Gram rule, |V^dag V - 1|_2, for isometries, unitaries and Kraus sets.
 UNITARY_TOL = 1e-10
 # Density-matrix checks: |tr(rho) - 1| and eigenvalue negativity allowance.
 STATE_TOL = 1e-9
@@ -326,8 +327,10 @@ class Channel:
         return f"<Channel {name!r} dim={self.dim} cp={self.cp} tp={self.tp} unital={self.unital}>"
 
 
-def _check_kraus(ops) -> tuple[np.ndarray, int]:
-    """Stack and validate a Kraus set; returns ``(array (k, N, N), N)``."""
+def _check_kraus(ops) -> tuple[np.ndarray, int, int]:
+    """Stack a Kraus set into its isometry ``V`` (the layout of
+    :func:`isometry_superops`) and check ``V^dag V = sum_i A_i^dag A_i = 1``;
+    returns ``(V, N, k)``."""
     mats = [as_complex_matrix(a) for a in ops]
     if not mats:
         raise ValidationError("a Kraus set must contain at least one operator")
@@ -337,28 +340,16 @@ def _check_kraus(ops) -> tuple[np.ndarray, int]:
             raise ValidationError(
                 f"Kraus operators must share one square shape; got {a.shape} after {(n, n)}"
             )
-    stack = np.array(mats)
-    resolution = np.einsum("ikl,ikm->lm", stack.conj(), stack)
-    dev = np.linalg.norm(resolution - np.eye(n))
-    if dev > TP_TOL:
-        raise ValidationError(
-            f"Kraus set is not trace preserving: |sum A^dag A - 1|_2 = {dev:.3e} "
-            f"(tolerance {TP_TOL:.1e})"
-        )
-    return stack, n
+    v = np.stack(mats, axis=1).reshape(n * len(mats), n)
+    _check_isometry(v, "stacked Kraus set")
+    return v, n, len(mats)
 
 
 def from_kraus(ops, *, label=None, meta=None) -> Channel:
-    """Build a channel from Kraus operators ``{A_i}``.
-
-    The superoperator is ``sum_i kron(A_i, conj(A_i))``; its reshuffle equals
-    ``sum_i vec(A_i) vec(A_i)^dag`` entry by entry, so the stored Choi matrix
-    is automatically consistent with the Kraus data.
-    """
-    stack, n = _check_kraus(ops)
-    d = n * n
-    superop = np.einsum("ikm,iln->klmn", stack, stack.conj()).reshape(d, d)
-    return Channel(superop, n, label=label, meta=meta)
+    """Build a channel from Kraus operators ``{A_i}`` through their stacked
+    isometry; the superoperator is ``sum_i kron(A_i, conj(A_i))``."""
+    v, n, k = _check_kraus(ops)
+    return Channel(_stinespring_superops(v[None], n, k)[0], n, label=label, meta=meta)
 
 
 def from_superoperator(m, dim=None, *, permissive=False, label=None, meta=None) -> Channel:
@@ -423,9 +414,8 @@ def from_isometry(v, dim: int, env_dim: int, *, label=None, meta=None) -> Channe
     """Channel from a Stinespring isometry ``V`` from the system into
     system x environment, with the environment traced out afterwards.
 
-    ``v`` must be an ``N*d x N`` isometry (``V^dag V = 1_N``); the Kraus
-    operators are the blocks ``(A_i)[a, a'] = v[a*d + i, a']`` for
-    ``i = 0 .. d-1``.
+    ``v`` must be an ``N*d x N`` isometry (``V^dag V = 1_N``) laid out as
+    in :func:`isometry_superops`.
     """
     v = as_complex_matrix(v)
     if v.shape != (dim * env_dim, dim):
@@ -453,17 +443,22 @@ def _check_isometry(v: np.ndarray, what: str, *, index=None) -> None:
 def isometry_superops(v, dim: int, env_dim: int, *, index=None) -> np.ndarray:
     """Superoperators of a ``(B, N*d, N)`` stack of Stinespring isometries.
 
-    Each ``V`` must satisfy ``|V^dag V - 1_N|_2 <= UNITARY_TOL``, a stricter
-    test than the channel's own trace-preservation check; for ``B > 1`` the
-    first failure is named as channel ``index[i]`` (by default ``i``).  The Kraus
-    operators ``(A_i)[a, a'] = V[a*d + i, a']`` resolve the identity exactly
-    when ``V`` is an isometry, so the superoperator
-    ``sum_i kron(A_i, conj(A_i))`` is formed straight from ``V``.
+    Row ``a*d + i`` of ``V`` is row ``a`` of the Kraus operator ``A_i``,
+    ``V[a*d + i, a'] = A_i[a, a']``, so ``V^dag V = sum_i A_i^dag A_i`` and
+    the superoperator ``sum_i kron(A_i, conj(A_i))`` is formed straight from
+    ``V``.  Each ``V`` must satisfy ``|V^dag V - 1_N|_2 <= UNITARY_TOL``, a
+    stricter test than the channel's own trace-preservation check; for
+    ``B > 1`` the first failure is named as channel ``index[i]`` (by default
+    ``i``).
     """
     v = np.asarray(v, dtype=complex)
-    b = v.shape[0]
     _check_isometry(v, "matrix", index=index)
-    d = dim * dim
+    return _stinespring_superops(v, dim, env_dim)
+
+
+def _stinespring_superops(v: np.ndarray, dim: int, env_dim: int) -> np.ndarray:
+    """:func:`isometry_superops` without the isometry check."""
+    b, d = v.shape[0], dim * dim
     blocks = v.reshape(b, dim, env_dim, dim)
     return np.einsum("bkim,blin->bklmn", blocks, blocks.conj()).reshape(b, d, d)
 
@@ -475,11 +470,9 @@ def remix_kraus(ops, v) -> list[np.ndarray]:
     channel itself (its superoperator) unchanged while reshuffling how it is
     unraveled into operators.
     """
-    stack, _ = _check_kraus(ops)
+    stacked, n, k = _check_kraus(ops)
     v = as_complex_matrix(v)
-    if v.shape[1] != stack.shape[0]:
-        raise ValidationError(
-            f"remix matrix must have {stack.shape[0]} columns, got shape {v.shape}"
-        )
+    if v.shape[1] != k:
+        raise ValidationError(f"remix matrix must have {k} columns, got shape {v.shape}")
     _check_isometry(v, "remix matrix")
-    return list(np.einsum("ji,ikl->jkl", v, stack))
+    return list(np.einsum("ji,kil->jkl", v, stacked.reshape(n, k, n)))

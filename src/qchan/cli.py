@@ -32,19 +32,6 @@ from .channels import Channel, ChannelStack, ValidationError
 from .channels import from_choi, from_kraus, from_superoperator
 from .matcore import kron, random_permutation, renyi_order, reshuffle
 
-FAMILY_NAMES = (
-    "identity",
-    "depolarizing",
-    "coarse_graining",
-    "complete_contraction",
-    "spontaneous_emission",
-    "interval",
-    "pauli",
-    "reshuffle_invariant",
-    "random_cptp",
-    "random_bistochastic",
-)
-
 ENSEMBLES = (
     "random_cptp",
     "random_bistochastic",
@@ -139,44 +126,44 @@ def _param(params: dict, key: str, family: str, default=None, *, integer=False, 
     return [_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
-def _build_family(name: str, params: dict, dim: int) -> Channel:
-    if name == "identity":
-        return zoo.identity_channel(dim)
-    if name == "depolarizing":
-        return zoo.depolarizing(dim, _param(params, "alpha", name))
-    if name == "coarse_graining":
-        return zoo.coarse_graining(dim)
-    if name == "complete_contraction":
-        if "xi" in params:
-            xi = _parse_matrix(params["xi"], "family complete_contraction, field xi")
-        else:
-            xi = np.eye(dim, dtype=complex) / dim
-        return zoo.complete_contraction(xi)
-    if name == "spontaneous_emission":
-        return zoo.spontaneous_emission(dim)
-    if name == "interval":
-        return zoo.interval_channel(
-            _param(params, "alpha", name),
-            _param(params, "beta", name),
-            _param(params, "phi1", name, 0.0),
-            _param(params, "phi2", name, 0.0),
-        )
-    if name == "pauli":
-        return zoo.pauli_channel(_param(params, "p", name, many=True))
-    if name == "reshuffle_invariant":
-        eta = _param(params, "eta", name, many=True)
-        u = None
-        if "u" in params:
-            u = _parse_matrix(params["u"], "family reshuffle_invariant, field u")
-        return zoo.reshuffle_invariant(eta, u)
-    if name in ("random_cptp", "random_bistochastic"):
-        seed, index = (_param(params, key, name, 0, integer=True) for key in ("seed", "index"))
-        key, default = ("env_dim", dim * dim) if name == "random_cptp" else ("k", 2)
-        size = _param(params, key, name, default, integer=True)
-        _check_range(size, f"family {name!r}: parameter {key!r}", SIZE_LIMITS)
-        sample = zoo.random_cptp if name == "random_cptp" else zoo.random_bistochastic
-        return sample(dim, size, zoo.rng_substream(seed, index))
-    raise ValueError(f"unknown family {name!r}; valid names: {', '.join(FAMILY_NAMES)}")
+def _sampled_family(name: str, params: dict, dim: int) -> Channel:
+    """One ``zoo.<name>`` draw, from substream ``(seed, index)`` of the params."""
+    seed, index = (_param(params, key, name, 0, integer=True) for key in ("seed", "index"))
+    key, default = ("env_dim", dim * dim) if name == "random_cptp" else ("k", 2)
+    size = _param(params, key, name, default, integer=True)
+    _check_range(size, f"family {name!r}: parameter {key!r}", SIZE_LIMITS)
+    return getattr(zoo, name)(dim, size, zoo.rng_substream(seed, index))
+
+
+def _field_matrix(params: dict, name: str, key: str, default=None):
+    """Matrix field ``key`` of a family spec, or ``default`` when it is absent."""
+    if key not in params:
+        return default
+    return _parse_matrix(params[key], f"family {name}, field {key}")
+
+
+# Family spec name -> builder(name, params, dim); zoo is read at call time.
+FAMILIES = {
+    "identity": lambda name, params, dim: zoo.identity_channel(dim),
+    "depolarizing": lambda name, params, dim: zoo.depolarizing(dim, _param(params, "alpha", name)),
+    "coarse_graining": lambda name, params, dim: zoo.coarse_graining(dim),
+    "complete_contraction": lambda name, params, dim: zoo.complete_contraction(
+        _field_matrix(params, name, "xi", np.eye(dim, dtype=complex) / dim)
+    ),
+    "spontaneous_emission": lambda name, params, dim: zoo.spontaneous_emission(dim),
+    "interval": lambda name, params, dim: zoo.interval_channel(
+        _param(params, "alpha", name),
+        _param(params, "beta", name),
+        _param(params, "phi1", name, 0.0),
+        _param(params, "phi2", name, 0.0),
+    ),
+    "pauli": lambda name, params, dim: zoo.pauli_channel(_param(params, "p", name, many=True)),
+    "reshuffle_invariant": lambda name, params, dim: zoo.reshuffle_invariant(
+        _param(params, "eta", name, many=True), _field_matrix(params, name, "u")
+    ),
+    "random_cptp": _sampled_family,
+    "random_bistochastic": _sampled_family,
+}
 
 
 def load_channel_spec(doc) -> Channel:
@@ -199,7 +186,10 @@ def load_channel_spec(doc) -> Channel:
         params = fam.get("params", {})
         if not isinstance(params, dict):
             raise ValueError('"params" must be an object')
-        ch = _build_family(str(fam["name"]), params, dim)
+        name = str(fam["name"])
+        if name not in FAMILIES:
+            raise ValueError(f"unknown family {name!r}; valid names: {', '.join(FAMILIES)}")
+        ch = FAMILIES[name](name, params, dim)
         declared = dim if "dim" in doc else None
     elif form in ("kraus", "superoperator", "choi"):
         mats = doc.get("matrices")

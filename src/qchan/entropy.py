@@ -173,7 +173,8 @@ def povm_entropy(ops, q) -> float:
     Different unravelings of one channel give different weight vectors; the
     canonical (Choi eigenbasis) unraveling reproduces the map entropy.
     """
-    stack, n = _check_kraus(ops)
+    v, n, k = _check_kraus(ops)
+    stack = np.ascontiguousarray(v.reshape(n, k, n).swapaxes(0, 1))
     kappa = np.einsum("ikl,ikl->i", stack, stack.conj()).real
     return renyi(spectrum_probabilities(kappa / n), q)
 

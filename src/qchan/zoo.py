@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .channels import Channel, ChannelStack, _check_isometry, check_state, isometry_superops
+from .channels import Channel, ChannelStack, check_state, isometry_superops
+from .channels import _check_isometry, _stinespring_superops
 from .entropy import check_probabilities
 from .matcore import PAULI, as_complex_matrix, kron
 
@@ -320,12 +321,10 @@ def random_pauli_stack(rngs, *, index=None):
 
 
 def _pauli_stack(p: np.ndarray, index=None):
-    """Pauli channels with weights ``p[i]``: the Kraus operators are
-    ``sqrt(p[i, t]) * PAULI[t]``, summed one term at a time."""
-    ops = np.sqrt(np.maximum(p, 0.0))[:, :, None, None] * np.array(PAULI)
-    superops = np.zeros((len(p), 4, 4), dtype=complex)
-    for t in range(4):
-        superops += kron(ops[:, t], ops[:, t].conj())
+    """Pauli channels with weights ``p[i]``, from the Kraus operators
+    ``sqrt(p[i, t]) * PAULI[t]`` stacked into their isometry."""
+    blocks = np.sqrt(np.maximum(p, 0.0))[:, None, :, None] * np.array(PAULI).swapaxes(0, 1)
+    superops = _stinespring_superops(blocks.reshape(len(p), 8, 2), 2, 4)
     labels = ["pauli(" + ",".join(f"{w:g}" for w in row) + ")" for row in p]
     return ChannelStack(superops, 2, index=index), labels
 

@@ -12,6 +12,7 @@ from qchan.channels import (
     from_superoperator,
     remix_kraus,
 )
+from qchan.entropy import povm_entropy, renyi, spectrum_probabilities
 from qchan.zoo import haar_isometry, haar_unitary, random_cptp, random_density, rng_substream
 
 # identity channel on one qubit: superoperator is 1_4, Choi is the
@@ -161,6 +162,37 @@ def test_remix_kraus_rejects_non_isometry():
     ch = random_cptp(2, 2, rng_substream(36, 3))
     with pytest.raises(ValidationError):
         remix_kraus(ch.kraus, np.ones((2, len(ch.kraus)), dtype=complex))
+
+
+def _canonical_kraus_sets():
+    """Canonical Kraus sets of random channels at N = 2 to 8, 1 to N^2 operators."""
+    for n in range(2, 9):
+        for j, env in enumerate((1, 2, n, n * n)):
+            yield choi_to_kraus(random_cptp(n, env, rng_substream(34, 10 * n + j)).choi)
+
+
+def test_from_kraus_is_the_isometry_formula_bit_for_bit():
+    for ops in _canonical_kraus_sets():
+        n, k = ops[0].shape[0], len(ops)
+        v = np.empty((n * k, n), dtype=complex)
+        for i, a in enumerate(ops):
+            v[i::k] = a  # V[a*k + i, a'] = A_i[a, a']
+        superop = from_kraus(ops).superop
+        assert np.array_equal(superop, from_isometry(v, n, k).superop)
+        stack = np.array(ops)
+        kron_sum = np.einsum("ikm,iln->klmn", stack, stack.conj()).reshape(n * n, n * n)
+        assert np.array_equal(superop, kron_sum)
+
+
+def test_kraus_readers_keep_the_bits_of_the_operator_stack():
+    for j, ops in enumerate(_canonical_kraus_sets()):
+        n, k = ops[0].shape[0], len(ops)
+        stack = np.array(ops)
+        weights = np.einsum("ikl,ikl->i", stack, stack.conj()).real / n
+        for q in (1.0, 2.0, np.inf):
+            assert povm_entropy(ops, q) == renyi(spectrum_probabilities(weights), q)
+        w = haar_isometry(k + 1, k, rng_substream(35, j))
+        assert np.array_equal(remix_kraus(ops, w), np.einsum("ji,ikl->jkl", w, stack))
 
 
 def test_choi_marginals():

@@ -127,6 +127,44 @@ def test_analyze_rejects_unknown_family_and_form(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unknown_family_error_lists_the_registry_in_order(tmp_path, capsys):
+    assert main(["analyze", "--spec", _family_spec(tmp_path, "not_a_family")]) == 2
+    names = (
+        "identity, depolarizing, coarse_graining, complete_contraction, spontaneous_emission, "
+        "interval, pauli, reshuffle_invariant, random_cptp, random_bistochastic"
+    )
+    assert list(cli.FAMILIES) == names.split(", ")
+    err = capsys.readouterr().err
+    assert err == f"error: unknown family 'not_a_family'; valid names: {names}\n"
+
+
+# family -> (zoo attribute it builds through, smallest params)
+FAMILY_BUILDERS = {
+    "identity": ("identity_channel", {}),
+    "depolarizing": ("depolarizing", {"alpha": 0.5}),
+    "coarse_graining": ("coarse_graining", {}),
+    "complete_contraction": ("complete_contraction", {}),
+    "spontaneous_emission": ("spontaneous_emission", {}),
+    "interval": ("interval_channel", {"alpha": 0.2, "beta": 0.7}),
+    "pauli": ("pauli_channel", {"p": [0.4, 0.3, 0.2, 0.1]}),
+    "reshuffle_invariant": ("reshuffle_invariant", {"eta": [0.5, 0.3, 0.2]}),
+    "random_cptp": ("random_cptp", {}),
+    "random_bistochastic": ("random_bistochastic", {}),
+}
+
+
+@pytest.mark.parametrize("family", list(cli.FAMILIES))
+def test_each_family_builds_through_the_zoo_attribute_at_call_time(family, monkeypatch):
+    # a tracer that patches zoo.<builder> after import must see the call
+    attr, params = FAMILY_BUILDERS[family]
+    calls = []
+    real = getattr(zoo, attr)
+    monkeypatch.setattr(zoo, attr, lambda *a: calls.append(a) or real(*a))
+    doc = {"dim": 2, "form": "family", "family": {"name": family, "params": params}}
+    ch = load_channel_spec(doc)
+    assert len(calls) == 1 and ch.dim == 2
+
+
 def test_analyze_rejects_dim_mismatch(tmp_path, capsys):
     spec = _write_spec(
         tmp_path,

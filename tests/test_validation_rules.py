@@ -16,10 +16,11 @@ from qchan.channels import (
     from_choi,
     from_environment,
     from_isometry,
+    from_kraus,
     isometry_superops,
     remix_kraus,
 )
-from qchan.entropy import renyi
+from qchan.entropy import povm_entropy, renyi
 from qchan.cli import _parse_q
 from qchan.matcore import q_norm, reshuffle
 from qchan.separability import partial_transpose
@@ -49,6 +50,12 @@ def _unused_column_off(deviation):
     return u
 
 
+def _kraus(deviation):
+    """Kraus set whose stacked isometry ``V[a*4 + i, a'] = A_i[a, a']`` has
+    ``|V^dag V - 1|_2 = |sum_i A_i^dag A_i - 1|_2 = deviation``."""
+    return list(_scaled(_iso(8, 2), deviation).reshape(2, 4, 2).swapaxes(0, 1))
+
+
 def _stack_with(deviation):
     v = haar_isometries(8, 2, [rng_substream(91, i) for i in range(5)])
     v[3] = _scaled(v[3], deviation)
@@ -58,10 +65,13 @@ def _stack_with(deviation):
 ISOMETRY_SITES = {
     "from_environment": lambda dev: from_environment(_unused_column_off(dev), 2, 2),
     "from_isometry": lambda dev: from_isometry(_scaled(_iso(8, 2), dev), 2, 4),
+    "from_kraus": lambda dev: from_kraus(_kraus(dev)),
     "isometry_superops": _stack_with,
+    "povm_entropy": lambda dev: povm_entropy(_kraus(dev), 2.0),
     "remix_kraus": lambda dev: remix_kraus(
         depolarizing(2, 0.5).kraus, _scaled(_iso(5, 4), dev)
     ),
+    "remix_kraus_ops": lambda dev: remix_kraus(_kraus(dev), _iso(5, 4)),
     "reshuffle_invariant": lambda dev: reshuffle_invariant(
         (0.5, 0.3, 0.2), u=_scaled(_iso(2, 2), dev)
     ),
@@ -75,6 +85,16 @@ def test_isometry_rule(site):
     pattern = "^channel 13: matrix" if site == "isometry_superops" else ""
     with pytest.raises(ValidationError, match=pattern + ".* is not an isometry"):
         build(2.0 * UNITARY_TOL)
+
+
+def test_a_kraus_set_and_its_isometry_meet_one_gram_rule():
+    # 2.7e-10 lies between UNITARY_TOL and ChannelStack's TP_TOL, so only
+    # the Gram rule can reject it, for the Kraus set as for its isometry.
+    ops = _kraus(2.7e-10)
+    v = np.stack(ops, axis=1).reshape(8, 2)
+    for build in (lambda: from_kraus(ops), lambda: from_isometry(v, 2, 4)):
+        with pytest.raises(ValidationError, match=r"= 2\.700e-10 \(tolerance 1\.0e-10\)$"):
+            build()
 
 
 SIDE_SITES = {
