@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import Channel, ChannelStack, ValidationError
-from .entropy import DIAGNOSTICS, Q_ONE_WINDOW, entropies, renyi, spectrum_probabilities
+from .entropy import DIAGNOSTICS, Q_LARGE, Q_ONE_WINDOW, entropies, renyi, spectrum_probabilities
 from .matcore import as_complex_matrix, first_failure, renyi_order, reorder
 from .zoo import rng_stream
 
@@ -249,8 +249,10 @@ def receiver_upper_value(lam, n_dim: int, q):
     The singular values majorize ``(1, (lam-1)/(N^2-1) x (N^2-1))``, whose
     normalized Rényi entropy this function evaluates; Schur concavity turns
     that into an upper bound.  The ``q = 1`` and ``q = inf`` limits are
-    handled in closed form.  ``lam`` may be a float (giving a float) or an
-    array (giving one value per entry).
+    handled in closed form, the Shannon window with the first-order term of
+    :func:`entropy.renyi`, and orders above ``Q_LARGE`` factored by the
+    largest term.  ``lam`` may be a float (giving a float) or an array
+    (giving one value per entry).
     """
     q = renyi_order(q)
     lam_in = np.asarray(lam, dtype=float)
@@ -265,9 +267,17 @@ def receiver_upper_value(lam, n_dim: int, q):
     if math.isinf(q):
         value = np.log(lam)
     elif abs(q - 1.0) < Q_ONE_WINDOW:
+        # two weight levels, 1/lam and t/(lam rest), with log ratio gap
         t = lam - 1.0
-        spread = (t / lam) * np.log(rest / np.where(t < 1e-300, 1.0, t))
-        value = np.where(t < 1e-300, 0.0, spread) + np.log(lam)
+        gap = np.log(rest / np.where(t < 1e-300, 1.0, t))
+        value = np.where(t < 1e-300, 0.0, (t / lam) * gap) + np.log(lam)
+        if q != 1.0:  # Var(ln p) = (1/lam) (t/lam) gap^2
+            value = value - (q - 1.0) / 2.0 * t / lam**2 * gap**2
+    elif q > Q_LARGE:
+        # ln(lam^-q (1 + rest (t/rest)^q)), the tail through logaddexp's log1p
+        with np.errstate(divide="ignore"):
+            tail = np.log(rest) + q * np.log((lam - 1.0) / rest)  # -inf at lam = 1
+        value = (np.logaddexp(0.0, tail) - q * np.log(lam)) / (1.0 - q)
     else:
         inner = lam ** (-q) + (lam - 1.0) ** q / (lam**q * float(rest) ** (q - 1.0))
         value = np.log(inner) / (1.0 - q)

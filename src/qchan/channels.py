@@ -444,12 +444,14 @@ def isometry_superops(v, dim: int, env_dim: int, *, index=None) -> np.ndarray:
     """Superoperators of a ``(B, N*d, N)`` stack of Stinespring isometries.
 
     Row ``a*d + i`` of ``V`` is row ``a`` of the Kraus operator ``A_i``,
-    ``V[a*d + i, a'] = A_i[a, a']``, so ``V^dag V = sum_i A_i^dag A_i`` and
-    the superoperator ``sum_i kron(A_i, conj(A_i))`` is formed straight from
-    ``V``.  Each ``V`` must satisfy ``|V^dag V - 1_N|_2 <= UNITARY_TOL``, a
-    stricter test than the channel's own trace-preservation check; for
-    ``B > 1`` the first failure is named as channel ``index[i]`` (by default
-    ``i``).
+    ``V[a*d + i, a'] = A_i[a, a']``, so ``V^dag V = sum_i A_i^dag A_i``.
+    With ``X[(a, a'), i] = V[a*d + i, a']``, the ``N^2 x d`` matrix whose
+    columns are the ``vec(A_i)``, the dynamical matrix is the Gram product
+    ``D = X X^dag``, one batched matmul, and its :func:`reshuffle` is the
+    superoperator ``sum_i kron(A_i, conj(A_i))``.  Each ``V`` must satisfy
+    ``|V^dag V - 1_N|_2 <= UNITARY_TOL``, a stricter test than the channel's
+    own trace-preservation check; for ``B > 1`` the first failure is named as
+    channel ``index[i]`` (by default ``i``).
     """
     v = np.asarray(v, dtype=complex)
     _check_isometry(v, "matrix", index=index)
@@ -458,9 +460,8 @@ def isometry_superops(v, dim: int, env_dim: int, *, index=None) -> np.ndarray:
 
 def _stinespring_superops(v: np.ndarray, dim: int, env_dim: int) -> np.ndarray:
     """:func:`isometry_superops` without the isometry check."""
-    b, d = v.shape[0], dim * dim
-    blocks = v.reshape(b, dim, env_dim, dim)
-    return np.einsum("bkim,blin->bklmn", blocks, blocks.conj()).reshape(b, d, d)
+    x = v.reshape(len(v), dim, env_dim, dim).swapaxes(2, 3).reshape(len(v), -1, env_dim)
+    return reshuffle(x @ x.conj().swapaxes(1, 2), dim)
 
 
 def remix_kraus(ops, v) -> list[np.ndarray]:

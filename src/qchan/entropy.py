@@ -21,8 +21,14 @@ import numpy as np
 from .matcore import PAULI, SPECTRUM_ZERO_RTOL, first_failure, hermitian_eigenvalues, renyi_order
 from .channels import Channel, ChannelStack, ValidationError, _check_kraus, check_state
 
-# |q - 1| below this window routes to the Shannon limit of the Rényi formula.
+# |q - 1| below this window routes to the Shannon limit of the Rényi formula
+# and its first-order term in q - 1.
 Q_ONE_WINDOW = 1e-6
+# Above this order the Rényi sums are factored by their largest term, so no
+# power underflows or overflows; at and below it the direct sums keep their
+# bits.  The direct sums fail near q = 86 (lambda^q rest^(q-1) at N = 8) and
+# q = 170 (p_max^q for 64 equal weights).
+Q_LARGE = 16.0
 
 
 def _rows(p: np.ndarray, what: str) -> np.ndarray:
@@ -63,9 +69,10 @@ def check_probabilities(p) -> np.ndarray:
 def renyi(p, q):
     """Rényi entropy ``S_q(p) = ln(sum_i p_i^q) / (1 - q)`` in nats.
 
-    ``q = 1`` (or anything within ``Q_ONE_WINDOW`` of it) gives the Shannon
-    entropy, ``q = 0`` the logarithm of the support size, and ``math.inf``
-    the min-entropy ``-ln max_i p_i``.  Zero weights never reach a logarithm.
+    ``q = 1`` gives the Shannon entropy ``H``, and within ``Q_ONE_WINDOW`` of
+    it ``H - (q-1)/2 Var_p(ln p)``, whose error is O((q-1)^2).  ``q = 0``
+    gives the logarithm of the support size, and ``math.inf`` the min-entropy
+    ``-ln max_i p_i``.  Zero weights never reach a logarithm.
     A 1-D ``p`` gives a float; a 2-D stack gives one entropy per row.
     """
     p = check_probabilities(p)
@@ -78,9 +85,16 @@ def _renyi(p: np.ndarray, q: float):
     if math.isinf(q):
         value = -np.log(p.max(axis=-1))
     elif abs(q - 1.0) < Q_ONE_WINDOW:
-        value = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+        logp = np.log(np.where(p > 0.0, p, 1.0))
+        h = -np.sum(p * logp, axis=-1, keepdims=True)
+        value = h[..., 0]
+        if q != 1.0:
+            value = value - (q - 1.0) / 2.0 * np.sum(p * (logp + h) ** 2, axis=-1)
     elif q == 0.0:
         value = np.log(np.count_nonzero(p > 0.0, axis=-1))
+    elif q > Q_LARGE:
+        top = p.max(axis=-1, keepdims=True)
+        value = (q * np.log(top[..., 0]) + np.log(np.sum((p / top) ** q, axis=-1))) / (1.0 - q)
     else:
         value = np.log(np.sum(p**q, axis=-1)) / (1.0 - q)
     return value + 0.0  # +0.0 folds -0.0 into 0.0

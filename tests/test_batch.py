@@ -247,7 +247,8 @@ def test_stack_samplers_equal_their_per_channel_samplers(name):
 
 def _reference_superop(name, i, rng):
     """Superoperator of row ``i`` by the formulas of the per-channel code
-    the stacked kernels replaced: np.kron, a Kraus einsum, scalar states."""
+    the stacked kernels replaced: np.kron, one Kraus set's Gram product,
+    scalar states."""
     if name == "random_bistochastic":
         superop = np.zeros((9, 9), dtype=complex)
         for w in rng.dirichlet(np.ones(KS[i])):
@@ -257,7 +258,11 @@ def _reference_superop(name, i, rng):
     if name == "random_pauli":
         p = rng.dirichlet(np.ones(4))
         ops = np.array([np.sqrt(w) * s for w, s in zip(p, zoo.PAULI)])
-        return np.einsum("ikm,iln->klmn", ops, ops.conj()).reshape(4, 4)
+        x = np.stack([a.reshape(-1) for a in ops], axis=1)  # columns vec(A_t)
+        superop = (x @ x.conj().T).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+        kron_sum = sum(np.kron(a, a.conj()) for a in ops)
+        np.testing.assert_allclose(superop, kron_sum, rtol=0.0, atol=1e-15)
+        return superop
     if name == "random_interval":
         a, b = rng.uniform(), rng.uniform()
         phases = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 2.0 * np.pi)

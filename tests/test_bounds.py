@@ -293,11 +293,11 @@ def test_receiver_upper_value_limits():
         for q in (1.0, 2.0, 7.0, math.inf):
             r = record(ch, "receiver_majorization_upper", q)
             assert abs(r.slack) < 1e-12, (n, q, r)
-    # q -> 1 window agrees with the nearby generic branch
-    near = receiver_upper_value(2.5, 2, 1.0 + 5e-7)
-    generic = receiver_upper_value(2.5, 2, 1.01)
-    assert abs(near - receiver_upper_value(2.5, 2, 1.0)) < 1e-9
-    assert abs(near - generic) < 5e-3
+    # the q -> 1 window joins the generic branch at its edge
+    near = receiver_upper_value(2.5, 2, 1.0 + 0.999e-6)
+    generic = receiver_upper_value(2.5, 2, 1.0 + 1.001e-6)
+    assert abs(near - generic) < 1e-9
+    assert abs(near - receiver_upper_value(2.5, 2, 1.01)) < 5e-3
     # infinite order reduces to ln(lambda); lam = 1 forces zero entropy
     assert abs(receiver_upper_value(3.0, 2, math.inf) - math.log(3.0)) < 1e-15
     assert receiver_upper_value(1.0, 2, 2.0) == 0.0

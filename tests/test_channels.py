@@ -179,9 +179,12 @@ def test_from_kraus_is_the_isometry_formula_bit_for_bit():
             v[i::k] = a  # V[a*k + i, a'] = A_i[a, a']
         superop = from_kraus(ops).superop
         assert np.array_equal(superop, from_isometry(v, n, k).superop)
-        stack = np.array(ops)
-        kron_sum = np.einsum("ikm,iln->klmn", stack, stack.conj()).reshape(n * n, n * n)
-        assert np.array_equal(superop, kron_sum)
+        # the dynamical matrix D = X X^dag, X's columns the vec(A_i), reshuffled
+        x = np.stack([a.reshape(-1) for a in ops], axis=1)
+        gram = (x @ x.conj().T).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        assert np.array_equal(superop, gram)
+        kron_sum = sum(np.kron(a, a.conj()) for a in ops)
+        np.testing.assert_allclose(superop, kron_sum, rtol=0.0, atol=1e-15)
 
 
 def test_kraus_readers_keep_the_bits_of_the_operator_stack():

@@ -349,6 +349,38 @@ def test_scan_is_deterministic_across_chunk_sizes(tmp_path, monkeypatch):
     assert all(out == default for out in outputs)
 
 
+def test_chunk_rows_fill_the_scan_budget():
+    # 256 KiB of stacked N^2 x N^2 complex superoperators, at least one row
+    assert [cli._chunk_rows(n) for n in range(2, 9)] == [1024, 202, 64, 26, 12, 6, 4]
+
+
+def test_qudit8_scan_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # 12 rows: three chunks of the default 4, four of 3, twelve of 1
+    argv = ["scan", "--ensemble", "random_cptp", "--dim", "8", "--n", "12", "--q", "2"]
+    outputs = []
+    for rows in (None, 1, 3):
+        if rows is not None:
+            monkeypatch.setattr(cli, "SCAN_CHUNK_BYTES", rows * 16 * 8**4)
+            assert cli._chunk_rows(8) == rows
+        out = tmp_path / f"chunk{rows}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("q", ["150", "300"])
+def test_scan_at_large_finite_orders_is_finite(tmp_path, q):
+    # the direct Rényi sums overflowed here: exit 2 at q = 300 ("bound
+    # entropy_sum_lower is not finite"), overflow warnings at q = 150
+    out = tmp_path / "large.csv"
+    argv = ["scan", "--ensemble", "random_cptp", "--dim", "8", "--n", "2", "--q", q]
+    assert main(argv + ["--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()]
+    numeric = [i for i, name in enumerate(header) if name not in ("label", "region")]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(row[i])) for row in rows for i in numeric)
+
+
 def test_scan_csv_layout(tmp_path):
     out = tmp_path / "plane.csv"
     assert (

@@ -1,8 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from qchan import entropy
+from qchan.bounds import receiver_upper_value
 from qchan.channels import ValidationError
 from qchan.entropy import (
     bloch_ellipsoid,
@@ -21,6 +24,7 @@ from qchan.zoo import (
     haar_unitary,
     identity_channel,
     random_cptp,
+    random_cptp_stack,
     rng_substream,
     spontaneous_emission,
 )
@@ -46,8 +50,9 @@ def test_renyi_named_orders():
     assert abs(renyi(p, 2.0) + math.log(3 / 8)) < 1e-12
     assert abs(renyi(p, math.inf) - math.log(2)) < 1e-12
     assert abs(renyi(p, 0.0) - math.log(3)) < 1e-12
-    # q -> 1 window reproduces the Shannon value
-    assert abs(renyi(p, 1.0 + 1e-7) - renyi(p, 1.0)) < 1e-12
+    # the q -> 1 window adds -(q-1)/2 Var_p(ln p), here Var = (ln 2)^2 / 4
+    first_order = 1.5 * math.log(2) - 0.5e-7 * math.log(2) ** 2 / 4
+    assert abs(renyi(p, 1.0 + 1e-7) - first_order) < 1e-14
 
 
 def test_renyi_is_nonincreasing_in_q():
@@ -177,3 +182,92 @@ def test_povm_entropy_validates_kraus():
     bad = [np.diag([1.0, 0.5]).astype(complex)]
     with pytest.raises(ValidationError):
         povm_entropy(bad, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# 40-digit references: the Shannon window and large finite orders
+
+
+def _renyi_reference(weights, q) -> float:
+    """``S_q`` of the weights, normalized exactly, at 40 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 40, -(10**9), 10**9
+        w = [Decimal(float(x)) for x in weights if x > 0]
+        total, order = sum(w), Decimal(float(q))
+        power_sum = sum(((x / total).ln() * order).exp() for x in w)
+        return float(power_sum.ln() / (1 - order))
+
+
+def _cptp_spectra():
+    """Map and receiver spectra, and trace norms, of random_cptp channels at
+    N = 2, 4 and 8 with environments N, N^2 and 2 (rank-deficient and full)."""
+    for n in (2, 4, 8):
+        rngs = [rng_substream(91, 10 * n + i) for i in range(3)]
+        stack, _ = random_cptp_stack(n, [n, n * n, 2], rngs)
+        p = [entropy.probabilities(stack, kind) for kind in ("map", "receiver")]
+        yield n, np.concatenate(p), stack.singular_values.sum(axis=-1)
+
+
+def _majorizing_weights(lam: float, n: int) -> list:
+    """The weights ``(1, (lam-1)/(N^2-1) x (N^2-1))`` behind receiver_upper_value."""
+    rest = n * n - 1
+    return [1.0] + [(lam - 1.0) / rest] * rest
+
+
+WINDOW_ORDERS = (1.0 - 0.99e-6, 1.0 - 5e-7, 1.0 + 5e-7, 1.0 + 0.99e-6)
+
+
+def test_renyi_shannon_window_matches_the_decimal_reference():
+    # returning S_1 for S_q was off by 2.4-2.6e-7 at q = 1 + 0.99e-6
+    for n, p, _ in _cptp_spectra():
+        for q in WINDOW_ORDERS:
+            assert abs(q - 1.0) < entropy.Q_ONE_WINDOW
+            got = entropy._renyi(p, q)
+            for i, row in enumerate(p):
+                assert abs(got[i] - _renyi_reference(row, q)) <= 1e-11, (n, q, i)
+        # at q = 1 itself the window is the Shannon sum, bit for bit
+        shannon = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+        assert np.array_equal(entropy._renyi(p, 1.0), shannon)
+
+
+def test_receiver_upper_value_shannon_window_matches_the_decimal_reference():
+    for n, _, lam in _cptp_spectra():
+        for q in WINDOW_ORDERS:
+            got = receiver_upper_value(lam, n, q)
+            for i, x in enumerate(lam):
+                want = _renyi_reference(_majorizing_weights(x, n), q)
+                assert abs(got[i] - want) <= 1e-11, (n, q, i)
+
+
+LARGE_ORDERS = (150.0, 300.0, 1100.0, 1e6)
+
+
+def test_renyi_large_orders_match_the_decimal_reference():
+    # the direct sum p**q underflowed: renyi([0.5, 0.3, 0.2], 1100) was inf
+    rows = [np.array([0.5, 0.3, 0.2])] + [row for _, p, _ in _cptp_spectra() for row in p]
+    for row in rows:
+        top = -math.log(row.max())
+        previous = math.inf
+        for q in LARGE_ORDERS:
+            assert q > entropy.Q_LARGE
+            got = renyi(row, q)
+            assert abs(got - _renyi_reference(row, q)) <= 1e-13, q
+            # S_q falls to S_inf = -ln p_max with a gap of at most -ln(p_max)/(q-1)
+            assert renyi(row, math.inf) <= got <= min(previous, top + top / (q - 1.0) + 1e-15)
+            previous = got
+
+
+def test_receiver_upper_value_large_orders_match_the_decimal_reference():
+    # lam**q * rest**(q-1) overflowed: at q = 150 the value was silently wrong
+    for n, _, lam in _cptp_spectra():
+        previous = np.full(len(lam), np.inf)
+        for q in LARGE_ORDERS:
+            got = receiver_upper_value(lam, n, q)
+            for i, x in enumerate(lam):
+                want = _renyi_reference(_majorizing_weights(x, n), q)
+                assert abs(got[i] - want) <= 1e-13, (n, q, i)
+            # the limit is the q = inf closed form ln(lam)
+            limit = receiver_upper_value(lam, n, math.inf)
+            assert np.all((limit <= got) & (got <= previous))
+            assert np.all(got - limit <= np.log(lam) / (q - 1.0) + 1e-15)
+            previous = got
