@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import Channel, ChannelStack, ValidationError
-from .entropy import DIAGNOSTICS, Q_LARGE, Q_ONE_WINDOW, entropies, renyi, spectrum_probabilities
+from .entropy import DIAGNOSTICS, Q_ONE_WINDOW, _renyi, entropies, spectrum_probabilities
 from .matcore import as_complex_matrix, first_failure, renyi_order, reorder
 from .zoo import rng_stream
 
@@ -195,12 +195,12 @@ def lemma_columns(sx, sy, q):
     lam_x, x1 = sx.sum(axis=-1), sx[:, 0]
     if not (lam_x > 0.0).all():
         raise ValueError("matrix must have at least one nonzero singular value")
-    sq = renyi(spectrum_probabilities(sx), q)
+    sq = _renyi(spectrum_probabilities(sx), q)
     rows = [(sq, _spectral_lower(lam_x, x1, q))]
     if q > 1.0:
         rows.append((sq, _spectral_upper(lam_x, x1, q)))
     if sy is not None:
-        lam_y, sq_y = sy.sum(axis=-1), renyi(spectrum_probabilities(sy), q)
+        lam_y, sq_y = sy.sum(axis=-1), _renyi(spectrum_probabilities(sy), q)
         rows.append((sq_y, _reordered_lower(lam_y, x1, lam_x, q)))
         rows.append((sq_y, _reordered_upper(lam_y, x1, q)))
     slack = [_slack(lhs, rhs, rel) for (lhs, rhs), (_, rel, _) in zip(rows, LEMMA_ROWS)]
@@ -246,13 +246,11 @@ def receiver_upper_value(lam, n_dim: int, q):
     """Largest ``S_q`` compatible with trace norm ``lam`` of an N^2 x N^2
     superoperator whose largest singular value is at least 1.
 
-    The singular values majorize ``(1, (lam-1)/(N^2-1) x (N^2-1))``, whose
-    normalized Rényi entropy this function evaluates; Schur concavity turns
-    that into an upper bound.  The ``q = 1`` and ``q = inf`` limits are
-    handled in closed form, the Shannon window with the first-order term of
-    :func:`entropy.renyi`, and orders above ``Q_LARGE`` factored by the
-    largest term.  ``lam`` may be a float (giving a float) or an array
-    (giving one value per entry).
+    The singular values majorize ``(1, (lam-1)/(N^2-1) x (N^2-1))``; Schur
+    concavity turns the Rényi entropy of that vector, normalized by ``lam``,
+    into an upper bound.  It is evaluated by :func:`entropy.renyi`'s rule,
+    limits, Shannon window and large orders included.  ``lam`` may be a
+    float (giving a float) or an array (giving one value per entry).
     """
     q = renyi_order(q)
     lam_in = np.asarray(lam, dtype=float)
@@ -262,25 +260,10 @@ def receiver_upper_value(lam, n_dim: int, q):
             f"trace norm {lam_in.flat[i]:.12g} below 1; "
             "not a trace-preserving channel's superoperator"
         )
-    lam = np.maximum(lam_in, 1.0)
+    lam = np.maximum(lam_in, 1.0)[..., None]
     rest = n_dim * n_dim - 1
-    if math.isinf(q):
-        value = np.log(lam)
-    elif abs(q - 1.0) < Q_ONE_WINDOW:
-        # two weight levels, 1/lam and t/(lam rest), with log ratio gap
-        t = lam - 1.0
-        gap = np.log(rest / np.where(t < 1e-300, 1.0, t))
-        value = np.where(t < 1e-300, 0.0, (t / lam) * gap) + np.log(lam)
-        if q != 1.0:  # Var(ln p) = (1/lam) (t/lam) gap^2
-            value = value - (q - 1.0) / 2.0 * t / lam**2 * gap**2
-    elif q > Q_LARGE:
-        # ln(lam^-q (1 + rest (t/rest)^q)), the tail through logaddexp's log1p
-        with np.errstate(divide="ignore"):
-            tail = np.log(rest) + q * np.log((lam - 1.0) / rest)  # -inf at lam = 1
-        value = (np.logaddexp(0.0, tail) - q * np.log(lam)) / (1.0 - q)
-    else:
-        inner = lam ** (-q) + (lam - 1.0) ** q / (lam**q * float(rest) ** (q - 1.0))
-        value = np.log(inner) / (1.0 - q)
+    weights = np.concatenate([np.ones_like(lam), np.repeat((lam - 1.0) / rest, rest, -1)], -1)
+    value = _renyi(weights / lam, q)
     return float(value) if lam_in.ndim == 0 else value
 
 
@@ -339,12 +322,6 @@ def _s_rec(s: ChannelStack, q) -> np.ndarray:
 
 def _s_out(s: ChannelStack, q) -> np.ndarray:
     return entropies(s, "output", q)
-
-
-def _output_rank(s: ChannelStack) -> np.ndarray:
-    # eigenvalues of Phi(1/N) above 1e-9 |Phi(1/N)|_2
-    cutoff = 1e-9 * np.maximum(np.linalg.norm(s.output_state, axis=(-2, -1)), 1e-300)
-    return np.count_nonzero(s.output_eigenvalues > cutoff[:, None], axis=-1)
 
 
 TABLE: tuple[Bound, ...] = (
@@ -451,7 +428,7 @@ TABLE: tuple[Bound, ...] = (
     ),
     Bound(
         "map_rank_lower", ">=", _any_order, _s_map,
-        lambda s, q: np.log(s.dim) - np.log(np.maximum(_output_rank(s), 1)),
+        lambda s, q: np.log(s.dim) - _s_out(s, 0.0),
         "S_q_map >= ln N - ln rank(Phi(1/N))",
     ),
     Bound(

@@ -18,17 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import PAULI, SPECTRUM_ZERO_RTOL, first_failure, hermitian_eigenvalues, renyi_order
+from .matcore import (
+    PAULI,
+    Q_LARGE,
+    SPECTRUM_ZERO_RTOL,
+    first_failure,
+    hermitian_eigenvalues,
+    renyi_order,
+)
 from .channels import Channel, ChannelStack, ValidationError, _check_kraus, check_state
 
 # |q - 1| below this window routes to the Shannon limit of the Rényi formula
 # and its first-order term in q - 1.
 Q_ONE_WINDOW = 1e-6
-# Above this order the Rényi sums are factored by their largest term, so no
-# power underflows or overflows; at and below it the direct sums keep their
-# bits.  The direct sums fail near q = 86 (lambda^q rest^(q-1) at N = 8) and
-# q = 170 (p_max^q for 64 equal weights).
-Q_LARGE = 16.0
 
 
 def _rows(p: np.ndarray, what: str) -> np.ndarray:

@@ -177,6 +177,13 @@ def hermitian_eigenvalues(h, herm_tol: float = HERM_TOL) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.eigvalsh(sym)[..., ::-1])
 
 
+# Above this order the Rényi sums and Schatten norms are factored by their
+# largest term, so no power underflows or overflows; at and below it the
+# direct sums keep their bits.  Unfactored, p_max^q underflows near q = 170
+# for 64 equal weights, and 10^q overflows near q = 308.
+Q_LARGE = 16.0
+
+
 def renyi_order(q, minimum: float = 0.0) -> float:
     """Validate a Rényi order: ``q >= minimum``, ``math.inf`` allowed.
 
@@ -194,7 +201,8 @@ def q_norm(m, q) -> float:
 
     ``q`` ranges over ``[1, inf]``; ``math.inf`` is the explicit enumerated
     value selecting the largest singular value, and ``q = 1`` gives the trace
-    norm.  The function is non-increasing in ``q``.
+    norm.  The function is non-increasing in ``q``.  Above ``Q_LARGE`` the
+    sum is factored by the largest singular value.
     """
     q = renyi_order(q, minimum=1.0)
     s = singular_values(m)
@@ -202,4 +210,6 @@ def q_norm(m, q) -> float:
         return float(s[0])
     if q == 1.0:
         return float(s.sum())
+    if q > Q_LARGE and s[0] > 0.0:
+        return float(s[0] * np.sum((s / s[0]) ** q) ** (1.0 / q))
     return float(np.sum(s**q) ** (1.0 / q))

@@ -26,7 +26,6 @@ from .bounds import (
     TABLE,
     BoundRecord,
     json_safe,
-    record,
     table_columns,
     table_records,
 )
@@ -102,7 +101,8 @@ def separable_criteria(ch: Channel, q) -> list[BoundRecord]:
     them certifies entanglement.  Requires ``q >= 1``; a criterion that
     raises gives its ``<id>_error`` record, as :func:`bounds.record` does.
     """
-    return [record(ch, b.id, q) for b in CRITERIA]
+    q = renyi_order(q, minimum=1.0)
+    return table_records(CRITERIA, table_columns(ch.stack, q, CRITERIA))
 
 
 @dataclass(frozen=True)

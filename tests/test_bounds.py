@@ -308,6 +308,19 @@ def test_receiver_upper_value_limits():
         receiver_upper_value(2.0, 2, -0.5)
 
 
+def test_receiver_upper_value_is_continuous_at_infinite_order():
+    # lambda = 6 > N^2 makes the (lambda-1)/(N^2-1) weights the largest; the
+    # q = inf value is their min-entropy, not ln(lambda) = 1.792
+    assert abs(receiver_upper_value(6.0, 2, math.inf) - receiver_upper_value(6.0, 2, 1e6)) <= 1e-6
+
+
+def test_receiver_upper_value_at_order_zero_counts_the_support():
+    # lambda = 1 leaves one nonzero weight, so S_0 = ln 1, not 2 ln N
+    for n in (2, 3, 8):
+        assert receiver_upper_value(1.0, n, 0.0) == 0.0
+    assert receiver_upper_value(maximally_depolarizing(3).lambda_phi, 3, 0.0) == 0.0
+
+
 def test_receiver_upper_value_rejects_trace_norm_below_one():
     # a trace-preserving superoperator has sigma1 >= 1, so a trace norm below
     # 1 is an invalid input: a ValidationError, which the CLI reports as exit 2

@@ -194,6 +194,8 @@ def _renyi_reference(weights, q) -> float:
         ctx.prec, ctx.Emin, ctx.Emax = 40, -(10**9), 10**9
         w = [Decimal(float(x)) for x in weights if x > 0]
         total, order = sum(w), Decimal(float(q))
+        if math.isinf(q):
+            return float(-(max(w) / total).ln())
         power_sum = sum(((x / total).ln() * order).exp() for x in w)
         return float(power_sum.ln() / (1 - order))
 
@@ -231,8 +233,9 @@ def test_renyi_shannon_window_matches_the_decimal_reference():
 
 
 def test_receiver_upper_value_shannon_window_matches_the_decimal_reference():
+    # and the orders on either side of it, which take the same rule
     for n, _, lam in _cptp_spectra():
-        for q in WINDOW_ORDERS:
+        for q in WINDOW_ORDERS + (0.5, 1.5, 2.0, math.inf):
             got = receiver_upper_value(lam, n, q)
             for i, x in enumerate(lam):
                 want = _renyi_reference(_majorizing_weights(x, n), q)
@@ -261,12 +264,12 @@ def test_receiver_upper_value_large_orders_match_the_decimal_reference():
     # lam**q * rest**(q-1) overflowed: at q = 150 the value was silently wrong
     for n, _, lam in _cptp_spectra():
         previous = np.full(len(lam), np.inf)
-        for q in LARGE_ORDERS:
+        for q in LARGE_ORDERS + (math.inf,):
             got = receiver_upper_value(lam, n, q)
             for i, x in enumerate(lam):
                 want = _renyi_reference(_majorizing_weights(x, n), q)
                 assert abs(got[i] - want) <= 1e-13, (n, q, i)
-            # the limit is the q = inf closed form ln(lam)
+            # the limit is the q = inf value ln(lam)
             limit = receiver_upper_value(lam, n, math.inf)
             assert np.all((limit <= got) & (got <= previous))
             assert np.all(got - limit <= np.log(lam) / (q - 1.0) + 1e-15)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qchan.matcore import (
+    Q_LARGE,
     hermitian_eigenvalues,
     identity_permutation,
     kron,
@@ -164,6 +165,17 @@ def test_q_norm_interpolation_inequality():
         for q in (1.5, 2.0, 4.0, 16.0):
             bound = q_norm(m, 1) ** (1 / q) * q_norm(m, math.inf) ** ((q - 1) / q)
             assert q_norm(m, q) <= bound + 1e-10, (i, q)
+
+
+def test_q_norm_large_orders_stay_finite():
+    # the direct sum 10**400 overflowed to inf
+    m = np.diag([10.0, 1.0])
+    for q in (100.0, 300.0, 400.0, 1e6):
+        assert abs(q_norm(m, q) - 10.0) <= 1e-12, q
+    assert q_norm(np.zeros((3, 3)), 300.0) == 0.0
+    # at and below Q_LARGE the direct sum keeps its bits
+    s = singular_values(m)
+    assert q_norm(m, Q_LARGE) == float(np.sum(s**Q_LARGE) ** (1.0 / Q_LARGE))
 
 
 def test_q_norm_monotone_in_order():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qchan.bounds import applicable_bounds, evaluate_all, f_min
+from qchan.bounds import applicable_bounds, evaluate_all, f_min, receiver_upper_value
 from qchan.channels import (
     UNITARY_TOL,
     Channel,
@@ -23,7 +23,7 @@ from qchan.channels import (
 from qchan.entropy import povm_entropy, renyi
 from qchan.cli import _parse_q
 from qchan.matcore import q_norm, reshuffle
-from qchan.separability import partial_transpose
+from qchan.separability import classify_region, partial_transpose, separable_criteria
 from qchan.zoo import (
     depolarizing,
     haar_isometries,
@@ -131,6 +131,9 @@ ORDER_SITES = {
     "evaluate_all": (lambda q: evaluate_all(depolarizing(2, 0.5), q), 1.0),
     "q_norm": (lambda q: q_norm(np.eye(3), q), 1.0),
     "_parse_q": (lambda q: _parse_q(str(q)), 0.0),
+    "separable_criteria": (lambda q: separable_criteria(depolarizing(2, 0.5), q), 1.0),
+    "classify_region": (lambda q: classify_region(depolarizing(2, 0.5), q), 1.0),
+    "receiver_upper_value": (lambda q: receiver_upper_value(2.0, 2, q), 0.0),
 }
 
 
