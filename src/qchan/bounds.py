@@ -254,6 +254,9 @@ def receiver_upper_value(lam, n_dim: int, q):
     """
     q = renyi_order(q)
     lam_in = np.asarray(lam, dtype=float)
+    i = first_failure(np.isfinite(lam_in))
+    if i is not None:
+        raise ValidationError(f"trace norm {lam_in.flat[i]} is not finite")
     i = first_failure(lam_in >= 1.0 - 1e-9)
     if i is not None:
         raise ValidationError(

@@ -75,10 +75,11 @@ class ChannelStack:
     is N (``None`` infers it from the matrix size).  Construction
     forms the Choi matrices, checks that they are Hermitian, takes their
     eigenvalues with one batched ``eigvalsh``, and sets the CP, TP and unital
-    flags and ``Phi(1/N)`` for every map at once.  The superoperator singular
-    values and the eigenvalues of ``Phi(1/N)`` are computed on first access,
-    again with one batched call each.  A :class:`Channel` is the ``B = 1``
-    case.
+    flags and ``Phi(1/N)`` for every map at once.  Once the CP/TP checks
+    pass it takes ``singular_values``, those of each superoperator, and
+    ``output_eigenvalues``, those of each ``Phi(1/N)``, with one batched call
+    each; both are descending, of shapes ``(B, N^2)`` and ``(B, N)``.  A
+    :class:`Channel` is the ``B = 1`` case.
 
     With ``require_cptp`` (the default) the first map that fails the CP or TP
     check raises :class:`ValidationError`; for ``B > 1`` the message names it
@@ -98,19 +99,16 @@ class ChannelStack:
         "tp",
         "unital",
         "output_state",
+        "singular_values",
+        "output_eigenvalues",
     )
-    __slots__ = _VALIDATED + ("dim", "_singular_values", "_output_eigenvalues", "entropy_cache")
+    __slots__ = _VALIDATED + ("dim", "entropy_cache")
 
     def __init__(self, superop, dim: int | None, *, require_cptp=True, index=None):
-        superop = np.array(superop, dtype=complex)
-        if superop.ndim != 3:
-            raise ValueError(f"expected a stack of superoperators, got shape {superop.shape}")
+        superop = as_complex_matrix(np.array(superop, dtype=complex), stack=True)
         n = _square_side(superop, dim)
-        d = n * n
-        if not np.isfinite(superop).all():
-            raise ValueError("superoperator contains non-finite entries")
         b = superop.shape[0]
-        choi = superop.reshape(b, n, n, n, n).transpose(0, 1, 3, 2, 4).reshape(b, d, d)
+        choi = reshuffle(superop, n)
         sym, hermitian, herm_dev, choi_scale = hermitian_part(choi)
         psd_tol = PSD_RTOL * choi_scale
         eigenvalues = np.ascontiguousarray(np.linalg.eigvalsh(sym)[:, ::-1])
@@ -158,20 +156,21 @@ class ChannelStack:
         self.tp = tp
         self.unital = unital
         self.output_state = out
+        self.singular_values = np.linalg.svd(superop, compute_uv=False)
+        # out is stored as (X + X^dag)/2, which is exactly Hermitian.
+        self.output_eigenvalues = np.ascontiguousarray(np.linalg.eigvalsh(out)[:, ::-1])
         self._freeze()
 
     def _freeze(self) -> None:
         for name in self._VALIDATED:
             getattr(self, name).setflags(write=False)
-        self._singular_values = None
-        self._output_eigenvalues = None
         self.entropy_cache = {}
 
     def channel(self, i: int = 0, *, label=None, meta=None) -> "Channel":
         """A :class:`Channel` over map ``i``, which is not validated again.
 
-        It shares this stack's validated arrays but computes its own
-        singular values, output spectrum and entropies on first access.
+        It shares this stack's validated arrays and spectra, and computes
+        its own entropies on first access.
         """
         i = range(len(self))[i]
         row = ChannelStack.__new__(ChannelStack)
@@ -185,25 +184,6 @@ class ChannelStack:
 
     def __len__(self) -> int:
         return self.superop.shape[0]
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        """Singular values of each superoperator, descending, shape ``(B, N^2)``."""
-        if self._singular_values is None:
-            s = np.linalg.svd(self.superop, compute_uv=False)
-            s.setflags(write=False)
-            self._singular_values = s
-        return self._singular_values
-
-    @property
-    def output_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of each ``Phi(1/N)``, descending, shape ``(B, N)``."""
-        if self._output_eigenvalues is None:
-            # output_state is stored as (X + X^dag)/2, which is exactly Hermitian.
-            w = np.ascontiguousarray(np.linalg.eigvalsh(self.output_state)[:, ::-1])
-            w.setflags(write=False)
-            self._output_eigenvalues = w
-        return self._output_eigenvalues
 
     @property
     def sigma1(self) -> np.ndarray:
@@ -238,11 +218,11 @@ class Channel:
 
     The channel keeps its data in a one-map :class:`ChannelStack`, so a
     single channel and a batch go through the same validation and spectra.
-    The Choi matrix and its eigenvalues are computed at construction (they
-    drive the CP/TP validation); singular values, the canonical Kraus set,
-    and the eigenvalues of the image of the maximally mixed state are derived
-    on first access and cached.  Instances are immutable after ``__init__``:
-    the stored arrays are marked read-only.
+    The Choi matrix and its eigenvalues (which drive the CP/TP validation),
+    the singular values and the eigenvalues of the image of the maximally
+    mixed state are computed at construction; the canonical Kraus set is
+    derived on first access and cached.  Instances are immutable after
+    ``__init__``: the stored arrays are marked read-only.
 
     Parameters
     ----------

@@ -106,13 +106,16 @@ def spectrum_probabilities(values, negative_tol=0.0) -> np.ndarray:
     """Turn a spectrum, or each row of a 2-D stack of spectra, into a
     probability vector.
 
-    Entries below ``-negative_tol`` (a scalar or one value per row) raise;
-    negatives within the tolerance are clamped to zero, values below
-    ``SPECTRUM_ZERO_RTOL`` times the largest are treated as exact zeros, and
-    the remainder is renormalized.
+    Non-finite entries and entries below ``-negative_tol`` (a scalar or one
+    value per row) raise; negatives within the tolerance are clamped to
+    zero, values below ``SPECTRUM_ZERO_RTOL`` times the largest are treated
+    as exact zeros, and the remainder is renormalized.
     """
     v = np.asarray(values, dtype=float)
     rows = _rows(v, "spectrum")
+    i = first_failure(np.isfinite(rows).all(axis=-1))
+    if i is not None:
+        raise ValidationError(f"{_row_name(v, i)}spectrum contains non-finite entries")
     tol = np.asarray(negative_tol, dtype=float)
     low = rows.min(axis=-1)
     i = first_failure(low >= -tol)

@@ -40,15 +40,17 @@ def as_complex_matrix(m, stack: bool = False) -> np.ndarray:
 
 def _square_side(m: np.ndarray, block: int | None) -> int:
     """Side ``n`` of an ``n^2 x n^2`` matrix, or of each in a stack (the last
-    two axes): ``block``, which must be integral (``2.0`` passes, ``2.7``
-    does not), or the integer square root when ``block`` is ``None``.
-    Anything else raises ``ValueError``."""
+    two axes): ``block``, which must be a positive integer (``2.0`` passes,
+    ``2.7`` and ``0`` do not), or the integer square root when ``block`` is
+    ``None``.  Anything else raises ``ValueError``."""
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     rows = m.shape[-1]
     side = math.isqrt(rows) if block is None else int(block)
     if block is not None and side != block:
         raise ValueError(f"block size must be an integer, got {block!r}")
+    if side < 1:
+        raise ValueError(f"block size must be positive, got {side}")
     if side * side != rows:
         raise ValueError(f"matrix size {rows} is not the square of block size {side}")
     return side
@@ -201,8 +203,10 @@ def q_norm(m, q) -> float:
 
     ``q`` ranges over ``[1, inf]``; ``math.inf`` is the explicit enumerated
     value selecting the largest singular value, and ``q = 1`` gives the trace
-    norm.  The function is non-increasing in ``q``.  Above ``Q_LARGE`` the
-    sum is factored by the largest singular value.
+    norm.  The function is non-increasing in ``q``.  Above ``Q_LARGE``, or
+    when the largest singular value lies outside ``[2^-60, 2^60]`` (where
+    its ``q``-th power could leave the normal floats at ``q <= Q_LARGE``),
+    the sum is factored by it.
     """
     q = renyi_order(q, minimum=1.0)
     s = singular_values(m)
@@ -210,6 +214,6 @@ def q_norm(m, q) -> float:
         return float(s[0])
     if q == 1.0:
         return float(s.sum())
-    if q > Q_LARGE and s[0] > 0.0:
+    if s[0] > 0.0 and (q > Q_LARGE or not 2.0**-60 <= s[0] <= 2.0**60):
         return float(s[0] * np.sum((s / s[0]) ** q) ** (1.0 / q))
     return float(np.sum(s**q) ** (1.0 / q))

@@ -317,28 +317,41 @@ def test_a_scan_builds_no_channel_one_at_a_time(ensemble, tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 10
 
 
-def test_stack_rows_are_channels_that_compute_their_own_spectra():
+def test_stack_rows_are_channels_that_share_its_spectra():
     stack, labels = random_cptp_stack(2, [2, 4, 1], [rng_substream(77, i) for i in range(3)])
-    stack.singular_values, stack.output_eigenvalues  # noqa: B018 - fill the stack's caches
     entropy.entropy_columns(stack, 2.0)
     with mock.patch.object(ChannelStack, "__init__", side_effect=AssertionError("validated")):
         rows = [stack.channel(i, label=labels[i], meta={"row": i}) for i in range(3)]
     for i, ch in enumerate(rows):
         assert ch.label == labels[i] and ch.meta == {"row": i} and len(ch.stack) == 1
-        assert ch.stack._singular_values is None and ch.stack._output_eigenvalues is None
-        assert ch.stack.entropy_cache == {}
         for name in ChannelStack._VALIDATED:
             assert not getattr(ch.stack, name).flags.writeable, name
+        with mock.patch("qchan.channels.np.linalg", wraps=np.linalg) as linalg:
+            row = stack.channel(i)
+            row.sigma1, row.singular_values, row.output_eigenvalues  # noqa: B018
+        assert linalg.mock_calls == []
         fresh = Channel(stack.superop[i], 2, label=labels[i])
         for name in ("superop", "choi", "choi_eigenvalues", "singular_values",
                      "output_eigenvalues"):
             assert np.array_equal(getattr(ch, name), getattr(fresh, name)), name
+        assert ch.sigma1 == fresh.sigma1 == stack.sigma1[i]
         assert ch.cp and ch.tp and ch.choi_psd_tol == fresh.choi_psd_tol
         assert entropy.entropy_point(ch, 2.0) == entropy.entropy_point(fresh, 2.0)
     assert np.array_equal(stack.channel(-1).superop, rows[2].superop)
     assert stack.channel().label is None and stack.channel().meta == {}
     with pytest.raises(IndexError):
         stack.channel(3)
+
+
+def test_a_stack_takes_its_spectra_once_and_only_once_it_is_valid():
+    superops = random_cptp_stack(2, [2] * 7, [rng_substream(78, i) for i in range(7)])[0].superop
+    with mock.patch("qchan.channels.np.linalg", wraps=np.linalg) as linalg:
+        ChannelStack(superops, 2)
+    assert (linalg.svd.call_count, linalg.eigvalsh.call_count) == (1, 2)
+    with mock.patch("qchan.channels.np.linalg", wraps=np.linalg) as linalg:
+        with pytest.raises(ValidationError, match="^channel 0: TP fails"):
+            ChannelStack(1.5 * superops, 2)
+    assert (linalg.svd.call_count, linalg.eigvalsh.call_count) == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,15 @@ def test_receiver_upper_value_rejects_trace_norm_below_one():
     assert receiver_upper_value(1.0 - 1e-10, 3, 2.0) == 0.0
 
 
+def test_receiver_upper_value_rejects_a_non_finite_trace_norm():
+    # inf gave nan with a RuntimeWarning, and nan was reported as below 1
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match=f"^trace norm {lam} is not finite$"):
+            receiver_upper_value(lam, 2, 2.0)
+    with pytest.raises(ValidationError, match="^trace norm nan is not finite$"):
+        receiver_upper_value(np.array([2.0, math.nan]), 2, 2.0)
+
+
 def test_receiver_upper_random_sweep():
     for i in range(60):
         ch = _random_channel(i)

@@ -80,6 +80,15 @@ def test_spectrum_probabilities_cleans_roundoff():
         spectrum_probabilities(np.array([1.1, -0.1]), negative_tol=1e-9)
 
 
+def test_spectrum_probabilities_rejects_non_finite_entries():
+    # inf gave [nan, 0] with a RuntimeWarning, and nan was reported as negative
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="^spectrum contains non-finite entries$"):
+            spectrum_probabilities([bad, 1.0])
+    with pytest.raises(ValidationError, match="^row 1: spectrum contains non-finite"):
+        spectrum_probabilities([[0.5, 0.5], [1.0, math.inf]])
+
+
 def test_map_and_receiver_entropy_extremes():
     ident = identity_channel(2)
     assert map_entropy(ident, 1.0) == 0.0

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -173,6 +174,14 @@ def test_q_norm_large_orders_stay_finite():
     for q in (100.0, 300.0, 400.0, 1e6):
         assert abs(q_norm(m, q) - 10.0) <= 1e-12, q
     assert q_norm(np.zeros((3, 3)), 300.0) == 0.0
+    # 1e200**2 overflowed and 1e-200**2 underflowed to 0 at ordinary orders
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for x in (1e200, 1e-200):
+            for q in (1.5, 2.0, 16.0, 300.0):
+                exact = Decimal(2) ** (1 / Decimal(q)) * Decimal(x)
+                value = q_norm(np.diag([x, x]), q)
+                assert abs(Decimal(value) - exact) <= Decimal("1e-15") * exact, (x, q)
     # at and below Q_LARGE the direct sum keeps its bits
     s = singular_values(m)
     assert q_norm(m, Q_LARGE) == float(np.sum(s**Q_LARGE) ** (1.0 / Q_LARGE))

@@ -25,6 +25,7 @@ from qchan.cli import _parse_q
 from qchan.matcore import q_norm, reshuffle
 from qchan.separability import classify_region, partial_transpose, separable_criteria
 from qchan.zoo import (
+    coarse_graining,
     depolarizing,
     haar_isometries,
     haar_isometry,
@@ -122,6 +123,28 @@ def test_side_rule_rejects_a_non_integral_block(site):
     SIDE_SITES[site](m, 2.0)
     with pytest.raises(ValueError, match=r"^block size must be an integer, got 2\.7$"):
         SIDE_SITES[site](m, 2.7)
+
+
+@pytest.mark.parametrize("site", sorted(SIDE_SITES))
+def test_side_rule_rejects_a_block_below_one(site):
+    for m, block, side in ((np.zeros((0, 0)), 0, 0), (np.zeros((0, 0)), None, 0),
+                           (np.ones((1, 1)), -1, -1)):
+        with pytest.raises(ValueError, match=f"^block size must be positive, got {side}$"):
+            SIDE_SITES[site](m, block)
+
+
+# families that build a channel of dimension ``dim`` through the side rule
+DIM_SITES = {
+    "coarse_graining": coarse_graining,
+    "depolarizing": lambda dim: depolarizing(dim, 0.5),
+}
+
+
+@pytest.mark.parametrize("site", sorted(DIM_SITES))
+def test_side_rule_rejects_dimension_zero(site):
+    DIM_SITES[site](2)
+    with pytest.raises(ValueError, match="^block size must be positive, got 0$"):
+        DIM_SITES[site](0)
 
 
 # site -> (call taking q, smallest order it accepts)
