@@ -16,7 +16,7 @@ from qchan import (
     random_cptp,
     random_interval_channel,
     receiver_entropy,
-    rng_substream,
+    rng_substreams,
 )
 
 SIZE = 2.0 * math.log(2.0)  # both axes run from 0 to 2 ln 2
@@ -47,13 +47,12 @@ def main():
         if cell == " " or symbol == "*":
             grid[ROWS - 1 - row][col] = symbol
 
-    for i in range(400):
-        rng = rng_substream(1, i)
+    for i, rng in enumerate(rng_substreams(1, range(400))):
         mark(*point(random_cptp(2, 2 if i % 2 == 0 else 4, rng)), "o")
-    for i in range(200):
-        mark(*point(random_bistochastic(2, i % 4 + 1, rng_substream(2, i))), "+")
-    for i in range(100):
-        mark(*point(random_interval_channel(rng_substream(3, i))), "x")
+    for i, rng in enumerate(rng_substreams(2, range(200))):
+        mark(*point(random_bistochastic(2, i % 4 + 1, rng)), "+")
+    for rng in rng_substreams(3, range(100)):
+        mark(*point(random_interval_channel(rng)), "x")
     for i in range(101):
         mark(*depolarizing_curve_point(i / 100.0), "*")
 

@@ -8,7 +8,7 @@ and B (no certificate either way).
 
 from collections import Counter
 
-from qchan import classify_region, depolarizing, random_cptp, rng_substream
+from qchan import classify_region, depolarizing, random_cptp, rng_substreams
 
 
 def main():
@@ -26,8 +26,8 @@ def main():
     print("\nrandom CP-TP qubit channels, q = 2:")
     counts = Counter()
     examples = {}
-    for i in range(2000):
-        ch = random_cptp(2, 2 if i % 2 == 0 else 4, rng_substream(23, i))
+    for i, rng in enumerate(rng_substreams(23, range(2000))):
+        ch = random_cptp(2, 2 if i % 2 == 0 else 4, rng)
         v = classify_region(ch, 2.0)
         counts[v.region] += 1
         examples.setdefault(v.region, (i, v))

@@ -92,6 +92,7 @@ from .zoo import (
     reshuffle_invariant,
     rng_stream,
     rng_substream,
+    rng_substreams,
     spontaneous_emission,
 )
 

@@ -264,8 +264,9 @@ def receiver_upper_value(lam, n_dim: int, q):
             "not a trace-preserving channel's superoperator"
         )
     lam = np.maximum(lam_in, 1.0)[..., None]
-    rest = n_dim * n_dim - 1
-    weights = np.concatenate([np.ones_like(lam), np.repeat((lam - 1.0) / rest, rest, -1)], -1)
+    rest = n_dim * n_dim - 1  # 0 at N = 1, where the share is repeated 0 times
+    share = (lam - 1.0) / max(rest, 1)
+    weights = np.concatenate([np.ones_like(lam), np.repeat(share, rest, -1)], -1)
     value = _renyi(weights / lam, q)
     return float(value) if lam_in.ndim == 0 else value
 

@@ -231,11 +231,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _fmt_column(values: list) -> list[str]:
-    """:func:`_fmt` of every cell of a column of Python values."""
-    if values and type(values[0]) is float:
-        return [f"{x:.17g}" for x in values]
-    return [_fmt(x) for x in values]
+def _csv_rows(columns: list[list]) -> list[str]:
+    """CSV lines of the rows of ``columns`` (lists of Python values), every
+    cell spelled as :func:`_fmt` spells it.
+
+    Each row takes one ``%`` format: ``%.17g`` for a column of floats (which
+    ``%`` spells as :func:`format` does) and ``%s`` for any other column,
+    whose cells :func:`_fmt` spells beforehand.
+    """
+    floats = [bool(values) and type(values[0]) is float for values in columns]
+    row_fmt = ",".join("%.17g" if f else "%s" for f in floats)
+    cells = [values if f else list(map(_fmt, values)) for f, values in zip(floats, columns)]
+    return [row_fmt % row for row in zip(*cells)]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -319,7 +326,7 @@ def _sample_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int):
     an ensemble that draws gets its own substream."""
     if ensemble == "depolarizing":
         return zoo.depolarizing_stack(dim, [i / (n - 1) if n > 1 else 0.0 for i in indices])
-    rngs = [zoo.rng_substream(seed, i) for i in indices]
+    rngs = zoo.rng_substreams(seed, indices)
     if ensemble == "random_cptp":
         envs = [dim if i % 2 == 0 else dim * dim for i in indices]
         return zoo.random_cptp_stack(dim, envs, rngs, index=indices)
@@ -385,9 +392,7 @@ def cmd_scan(args) -> int:
     values = _scan_columns(args.ensemble, args.dim, args.seed, args.n, q, table)
 
     if args.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(map(",".join, zip(*map(_fmt_column, values))))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join([",".join(columns), *_csv_rows(values)]) + "\n")
     else:
         doc = {
             "mode": args.mode,
@@ -473,7 +478,7 @@ def _mixed_qubit_stacks(seed: int, n: int) -> list[tuple[ChannelStack, list[int]
         idx = [i for i in range(n) if i % 4 in kinds]
         if not idx:
             continue
-        rngs = [zoo.rng_substream(seed, i) for i in idx]
+        rngs = zoo.rng_substreams(seed, idx)
         if kinds == (0, 1):
             envs = [2 if i % 4 == 0 else 4 for i in idx]
             stack, _ = zoo.random_cptp_stack(2, envs, rngs, index=idx)
@@ -506,7 +511,7 @@ def _verify_bounds(n: int, seed: int) -> list[str]:
 
     lines = [_check("bounds.report_all_orders", slack, report_case, bounds.CHECK_TOL)]
 
-    rngs = [zoo.rng_substream(seed, 10_000 + i) for i in range(n)]
+    rngs = zoo.rng_substreams(seed, range(10_000, 10_000 + n))
     stack, _ = zoo.random_bistochastic_stack(2, [i % 4 + 1 for i in range(n)], rngs)
     sums = [
         entropy.entropies(stack, "map", q) + entropy.entropies(stack, "receiver", q)
@@ -546,8 +551,7 @@ def _verify_bounds(n: int, seed: int) -> list[str]:
 def _verify_lemmas(n: int, seed: int) -> list[str]:
     orders = (1.5, 2.0, 4.0)
     draws = []  # (m, perm) of matrix i, from its own substream
-    for i in range(n):
-        rng = zoo.rng_substream(seed, i)
+    for rng in zoo.rng_substreams(seed, range(n)):
         size = int(rng.integers(4, 10))
         m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         draws.append((m, random_permutation(size * size, rng)))
@@ -642,8 +646,7 @@ def _verify_separability(n: int, seed: int) -> list[str]:
 
 def _verify_zoo(n: int, seed: int) -> list[str]:
     draws = []  # factors x0..x3 and matrix y of instance i, from its own substream
-    for i in range(n):
-        rng = zoo.rng_substream(seed, i)
+    for rng in zoo.rng_substreams(seed, range(n)):
         sub = int(rng.integers(2, 4))
         shapes = [(sub, sub)] * 4 + [(sub * sub, sub * sub)]
         draws.append([rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes])
@@ -662,9 +665,8 @@ def _verify_zoo(n: int, seed: int) -> list[str]:
         )
     ]
 
-    stack, _ = zoo.random_reshuffle_invariant_stack(
-        [zoo.rng_substream(seed, 20_000 + i) for i in range(n)]
-    )
+    rngs = zoo.rng_substreams(seed, range(20_000, 20_000 + n))
+    stack, _ = zoo.random_reshuffle_invariant_stack(rngs)
     # one matrix at a time, so the norm adds up its entries as for one channel
     dev = np.array([np.linalg.norm(stack.choi[r] - stack.superop[r]) for r in range(n)])
     s_map, s_rec = (entropy.entropies(stack, kind, 2.0) for kind in ("map", "receiver"))
@@ -709,13 +711,12 @@ def _verify_zoo(n: int, seed: int) -> list[str]:
     # stack fails validation, fresh substreams redraw one sample at a time.
     m = min(n, 100)
     errors = [None] * (2 * m)  # None for a sample that passed validation
-    rngs = [zoo.rng_substream(seed, 30_000 + i) for i in range(m)]
+    rngs = zoo.rng_substreams(seed, range(30_000, 30_000 + m))
     try:
         zoo.random_interval_stack(rngs)
         zoo.random_pauli_stack(rngs)
     except ValidationError:
-        for i in range(m):
-            rng = zoo.rng_substream(seed, 30_000 + i)
+        for i, rng in enumerate(zoo.rng_substreams(seed, range(30_000, 30_000 + m))):
             for j, sample in enumerate((zoo.random_interval_channel, zoo.random_pauli_channel)):
                 try:
                     sample(rng)

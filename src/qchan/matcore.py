@@ -210,6 +210,8 @@ def q_norm(m, q) -> float:
     """
     q = renyi_order(q, minimum=1.0)
     s = singular_values(m)
+    if not s.size:  # an empty matrix has norm 0 at every order
+        return 0.0
     if math.isinf(q):
         return float(s[0])
     if q == 1.0:

@@ -1,12 +1,13 @@
 """Named channel families, random ensembles, and exact reference curves.
 
 Random sampling goes through ``numpy.random.Generator`` streams only; see
-:func:`rng_stream` and :func:`rng_substream` for the seeding conventions that
+:func:`rng_stream` and :func:`rng_substreams` for the seeding conventions that
 make scans reproducible independently of chunk size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,11 +25,104 @@ def rng_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed) & _SEED_MASK))
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult^k mod 2^32`` for ``k < count``, as uint32."""
+    values = [init]
+    for _ in range(count - 1):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its 4-word
+# pool.  Its k-th hashmix call xors with entry k of a chain and multiplies by
+# entry k + 1: calls 0-3 hash the entropy words into the pool, calls 4-15 mix
+# each word into the other three, and a second chain reads out 8 words.
+_MIX_CHAIN = _hash_chain(0x43B0D7E5, 0x931E8875, 17)
+_OUT_CHAIN = _hash_chain(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# The (xor, multiplier) columns of mixing step ``src``: one chain entry per
+# other word, in order, and xor 0, multiplier 1 in row ``src``, which the
+# step puts back.
+_MIX_STEPS = [
+    (
+        np.insert(_MIX_CHAIN[4 + 3 * src : 7 + 3 * src], src, 0)[:, None],
+        np.insert(_MIX_CHAIN[5 + 3 * src : 8 + 3 * src], src, 1)[:, None],
+    )
+    for src in range(4)
+]
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of ``words``; uint32 arrays wrap mod 2^32 as its C code does."""
+    v = (words ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+@functools.cache
+def _substream_seed():
+    """The seed class :func:`rng_substreams` hands to ``PCG64``, defined on
+    first use so that ``import qchan`` does not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SubstreamSeed(ISeedSequence):
+        """``SeedSequence(entropy).generate_state(4, np.uint64)``, precomputed:
+        the one request ``PCG64`` makes of its seed."""
+
+        def __init__(self, entropy: tuple[int, int], state: np.ndarray):
+            self.entropy, self._state = entropy, state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a substream seed holds 4 uint64 words only")
+            return self._state
+
+    return SubstreamSeed
+
+
+def rng_substreams(seed: int, indices) -> list[np.random.Generator]:
+    """``[rng_substream(seed, i) for i in indices]`` from one vectorized hash.
+
+    Stream ``i`` is ``default_rng(SeedSequence((seed, i)))`` bit for bit: the
+    pool of numpy's seed hash and its ``generate_state(4, uint64)`` are
+    computed for every index at once, and each ``PCG64`` gets its row.
+    Indices lie in ``[0, 2^64)``.
+    """
+    seed = int(seed) & _SEED_MASK
+    indices = [int(i) for i in indices]
+    if indices and not 0 <= min(indices) <= max(indices) <= _SEED_MASK:
+        low, high = min(indices), max(indices)
+        raise ValueError(f"substream indices must lie in [0, 2^64), got {low}..{high}")
+    idx = np.array(indices, dtype=np.uint64)
+    # The entropy words: the seed's (one word below 2^32), then the index's.
+    # numpy pads the pool with hashes of 0, as zero words here do.
+    words = np.zeros((4, len(idx)), dtype=np.uint32)
+    first = 2 if seed >> 32 else 1
+    words[0], words[1] = seed & _MASK32, seed >> 32
+    words[first], words[first + 1] = idx & _MASK32, idx >> 32
+    pool = _hashmix(words, _MIX_CHAIN[:4, None], _MIX_CHAIN[1:5, None])
+    for src, (xor, mul) in enumerate(_MIX_STEPS):
+        mixed = _MIX_L * pool - _MIX_R * _hashmix(pool[src], xor, mul)
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]
+        pool = mixed
+    out = _hashmix(np.tile(pool, (2, 1)), _OUT_CHAIN[:-1, None], _OUT_CHAIN[1:, None])
+    out = out.astype(np.uint64)
+    states = np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)  # little-endian word pairs
+    make_seed = _substream_seed()
+    return [
+        np.random.Generator(np.random.PCG64(make_seed((seed, i), state)))
+        for i, state in zip(indices, states)
+    ]
+
+
 def rng_substream(seed: int, index: int) -> np.random.Generator:
     """Independent per-index stream: sample ``index`` always sees the same
     draws, whatever the chunk it is sampled in and the order of the samples.
     """
-    return np.random.default_rng(np.random.SeedSequence((int(seed) & _SEED_MASK, int(index))))
+    return rng_substreams(seed, [index])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +311,9 @@ def haar_isometries(rows: int, cols: int, rngs) -> np.ndarray:
     """
     if not 1 <= cols <= rows:
         raise ValueError(f"need 1 <= cols <= rows for an isometry, got {rows}x{cols}")
-    g = np.array(
-        [
-            rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-            for rng in rngs
-        ]
-    )
-    q, r = np.linalg.qr(g)
+    # One draw per generator; its halves are the real and imaginary parts.
+    z = np.array([rng.standard_normal((2, rows, cols)) for rng in rngs])
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from qchan import bounds, rng_substream, separability
+from qchan import bounds, rng_substreams, separability
 from qchan.zoo import random_bistochastic_stack, random_cptp_stack
 
 CPTP_SEED = 101
@@ -18,7 +18,7 @@ def _rows(stack, labels):
 def cptp_ensemble():
     """10^4 random CP-TP qubit channels with environment dims 2 and 4."""
     envs = [2 if i % 2 == 0 else 4 for i in range(10_000)]
-    rngs = [rng_substream(CPTP_SEED, i) for i in range(10_000)]
+    rngs = rng_substreams(CPTP_SEED, range(10_000))
     return _rows(*random_cptp_stack(2, envs, rngs))
 
 
@@ -26,7 +26,7 @@ def cptp_ensemble():
 def bistochastic_ensemble():
     """10^4 random unitary mixtures (1 to 4 terms)."""
     ks = [i % 4 + 1 for i in range(10_000)]
-    rngs = [rng_substream(BISTOCHASTIC_SEED, i) for i in range(10_000)]
+    rngs = rng_substreams(BISTOCHASTIC_SEED, range(10_000))
     return _rows(*random_bistochastic_stack(2, ks, rngs))
 
 

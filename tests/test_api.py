@@ -3,8 +3,10 @@ entry points that the benchmark's tracer patches."""
 
 import ast
 import importlib.util
+import os
 import re
 import runpy
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -25,6 +27,16 @@ def test_every_exported_name_resolves():
     missing = [name for name in qchan.__all__ if not hasattr(qchan, name)]
     assert missing == []
     assert len(set(qchan.__all__)) == len(qchan.__all__)
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random is about 12 ms of the import; qchan loads it on first draw
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import qchan, sys; assert 'numpy.random' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60
+    )
+    assert proc.returncode == 0
 
 
 def test_every_public_attribute_is_exported():

@@ -75,7 +75,7 @@ def _scan_lines(ensemble, dim, seed, n, q, rows_per_chunk=None) -> list[str]:
         table = bounds.applicable_bounds(q, interval=(ensemble == "random_interval"))
         columns = cli._scan_columns(ensemble, dim, seed, n, q, table)
     header = list(SCAN_BASE_COLUMNS) + [f"slack_{b.id}" for b in table]
-    return [",".join(header)] + list(map(",".join, zip(*map(cli._fmt_column, columns))))
+    return [",".join(header)] + cli._csv_rows(columns)
 
 
 def _assert_rows_equal_single(lines, ensemble, dim, seed, n, q):

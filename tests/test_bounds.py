@@ -308,6 +308,16 @@ def test_receiver_upper_value_limits():
         receiver_upper_value(2.0, 2, -0.5)
 
 
+def test_one_dimensional_channel_bounds_raise_no_warning():
+    # N = 1 leaves no weight to share out: (lam - 1) / (N^2 - 1) divided by
+    # zero, and under the error::RuntimeWarning filter that was an _error record
+    ch = from_superoperator(np.ones((1, 1)))
+    for q in (1.0, 2.0, math.inf):
+        assert receiver_upper_value(1.0, 1, q) == 0.0
+        ids = [r.id for r in evaluate_all(ch, q).records]
+        assert ids and not [rid for rid in ids if rid.endswith("_error")], (q, ids)
+
+
 def test_receiver_upper_value_is_continuous_at_infinite_order():
     # lambda = 6 > N^2 makes the (lambda-1)/(N^2-1) weights the largest; the
     # q = inf value is their min-entropy, not ln(lambda) = 1.792

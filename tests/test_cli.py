@@ -381,6 +381,14 @@ def test_scan_at_large_finite_orders_is_finite(tmp_path, q):
     assert all(math.isfinite(float(row[i])) for row in rows for i in numeric)
 
 
+def test_csv_rows_spell_every_cell_as_fmt():
+    cells = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 7, True, "a;b"]
+    for x in cells:  # each alone, as a one-cell column
+        assert cli._csv_rows([[x]]) == [cli._fmt(x)], x
+    assert cli._csv_rows([[x, x] for x in cells]) == [",".join(map(cli._fmt, cells))] * 2
+    assert cli._csv_rows([[], []]) == []
+
+
 def test_scan_csv_layout(tmp_path):
     out = tmp_path / "plane.csv"
     assert (

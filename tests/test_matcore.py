@@ -157,6 +157,12 @@ def test_q_norm_classical_values():
         q_norm(m, 0.5)
 
 
+def test_q_norm_of_an_empty_matrix_is_zero():
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        for q in (1, 2, 20, math.inf):
+            assert q_norm(np.zeros(shape), q) == 0.0, (shape, q)
+
+
 def test_q_norm_interpolation_inequality():
     # |x|_q <= |x|_1^(1/q) |x|_inf^((q-1)/q) on random matrices
     rng = np.random.default_rng(15)

@@ -12,6 +12,7 @@ from qchan.zoo import (
     complete_contraction,
     depolarizing,
     depolarizing_curve_point,
+    haar_isometries,
     haar_isometry,
     haar_unitary,
     identity_channel,
@@ -28,6 +29,7 @@ from qchan.zoo import (
     reshuffle_invariant,
     rng_stream,
     rng_substream,
+    rng_substreams,
     spontaneous_emission,
 )
 
@@ -256,6 +258,21 @@ def test_haar_unitary_draws_are_unchanged_by_the_isometry_routine():
         haar_isometry(3, 4, rng_stream(56))
 
 
+def test_haar_isometries_draw_each_ginibre_block_real_part_first():
+    # The two-call Ginibre draw, written out: a batched routine that drew the
+    # parts in another order, or interleaved generators, would differ here.
+    def two_call_isometry(rows, cols, rng):
+        g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    for rows, cols in ((2, 2), (4, 2), (8, 2), (9, 3)):
+        got = haar_isometries(rows, cols, rng_substreams(59, range(5)))
+        for i, rng in enumerate(rng_substreams(59, range(5))):
+            assert got[i].tobytes() == two_call_isometry(rows, cols, rng).tobytes(), (rows, i)
+
+
 @pytest.mark.parametrize("dim,env", [(2, 2), (2, 4), (3, 9)])
 def test_random_cptp_isometry_matches_full_unitary_sampler(dim, env):
     # Reference: the Haar unitary on system x environment that the isometry
@@ -263,15 +280,14 @@ def test_random_cptp_isometry_matches_full_unitary_sampler(dim, env):
     # through the mean sorted Choi spectrum and the mean Choi-state purity.
     n = 2000
 
-    def moments(sample):
-        spectra = np.array([sample(i).choi_eigenvalues for i in range(n)]) / dim
+    def moments(sample, seed):
+        rngs = rng_substreams(seed, range(n))
+        spectra = np.array([sample(rng).choi_eigenvalues for rng in rngs]) / dim
         purity = (spectra**2).sum(axis=1)
         return np.column_stack([spectra, purity])
 
-    ref = moments(
-        lambda i: from_environment(haar_unitary(dim * env, rng_substream(57, i)), dim, env)
-    )
-    new = moments(lambda i: random_cptp(dim, env, rng_substream(58, i)))
+    ref = moments(lambda rng: from_environment(haar_unitary(dim * env, rng), dim, env), 57)
+    new = moments(lambda rng: random_cptp(dim, env, rng), 58)
     err = np.sqrt(ref.var(axis=0, ddof=1) / n + new.var(axis=0, ddof=1) / n)
     diff = np.abs(ref.mean(axis=0) - new.mean(axis=0))
     assert np.all(diff <= 4.0 * err + 1e-12), (diff, err)
@@ -326,6 +342,27 @@ def test_rng_substreams_are_independent_and_reproducible():
     assert not np.array_equal(a, b)
     assert np.array_equal(a, rng_substream(5, 0).standard_normal(8))
     assert np.array_equal(rng_stream(5).standard_normal(8), rng_stream(5).standard_normal(8))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, -3])
+def test_rng_substreams_equal_numpy_seed_sequence_streams(seed):
+    # Seeds and indices of one and two uint32 words, and verify's offsets;
+    # a negative seed folds into [0, 2^64) as in rng_stream.  This is the
+    # test that sees a change to numpy's SeedSequence hash.
+    indices = [0, 1, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 10_000, 20_000, 30_000, 30_099]
+    for i, rng in zip(indices, rng_substreams(seed, indices)):
+        ref = np.random.default_rng(np.random.SeedSequence((seed % 2**64, i)))
+        raw = rng.bit_generator.random_raw(3)
+        assert np.array_equal(raw, ref.bit_generator.random_raw(3)), (seed, i)
+        assert rng.standard_normal(2).tobytes() == ref.standard_normal(2).tobytes()
+        assert np.array_equal(rng_substream(seed, i).bit_generator.random_raw(3), raw)
+
+
+def test_rng_substreams_reject_indices_outside_64_bits():
+    for bad in ([-1], [0, 2**64]):
+        with pytest.raises(ValueError, match="substream indices"):
+            rng_substreams(0, bad)
+    assert rng_substreams(3, []) == []
 
 
 def test_depolarizing_curve_matches_channel_entropies():
