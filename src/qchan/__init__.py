@@ -21,6 +21,7 @@ from .bounds import (
     receiver_upper_value,
     record,
     reordered_entropy_bounds,
+    sigma1_search,
     sigma1_variational,
     spectral_entropy_bounds,
 )

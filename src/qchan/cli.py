@@ -20,6 +20,7 @@ violation, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -491,14 +492,14 @@ def _mixed_qubit_stacks(seed: int, n: int) -> list[tuple[ChannelStack, list[int]
     return groups
 
 
-def _verify_bounds(n: int, seed: int) -> list[str]:
+def _verify_bounds(n: int, seed: int, qubits) -> list[str]:
     # One column per (q, bound id) of the report at each order, so the flat
     # order of the (channel, column) slacks is (index, q, id).
     tables = [(q, bounds.applicable_bounds(q)) for q in (1.0, 1.5, 2.0, math.inf)]
     columns = [(q, b.id) for q, table in tables for b in table]
     slack = np.empty((n, len(columns)))
     errors = np.empty(slack.shape, dtype=object)
-    for stack, idx in _mixed_qubit_stacks(seed, n):
+    for stack, idx in qubits():
         parts = [bounds.table_columns(stack, q, table) for q, table in tables]
         slack[idx] = np.hstack([part[2] for part in parts])
         errors[idx] = np.hstack([part[3] for part in parts])
@@ -534,10 +535,8 @@ def _verify_bounds(n: int, seed: int) -> list[str]:
     m = min(n, 50)
     est, oracle_slack = np.empty(m), np.empty(m)
     for stack, idx in _mixed_qubit_stacks(seed + 1, m):
-        for r, i in enumerate(idx):
-            ch = stack.channel(r)
-            est[i] = bounds.sigma1_variational(ch, budget=500, seed=seed + i)
-            oracle_slack[i] = ch.sigma1 + 1e-9 - est[i]
+        est[idx] = bounds.sigma1_search(stack, 500, [seed + i for i in idx])
+        oracle_slack[idx] = stack.sigma1 + 1e-9 - est[idx]
     lines.append(
         _check(
             "bounds.sigma1_oracle_one_sided",
@@ -548,7 +547,7 @@ def _verify_bounds(n: int, seed: int) -> list[str]:
     return lines
 
 
-def _verify_lemmas(n: int, seed: int) -> list[str]:
+def _verify_lemmas(n: int, seed: int, qubits) -> list[str]:
     orders = (1.5, 2.0, 4.0)
     draws = []  # (m, perm) of matrix i, from its own substream
     for rng in zoo.rng_substreams(seed, range(n)):
@@ -599,12 +598,12 @@ def _verify_lemmas(n: int, seed: int) -> list[str]:
     ]
 
 
-def _verify_separability(n: int, seed: int) -> list[str]:
+def _verify_separability(n: int, seed: int, qubits) -> list[str]:
     orders = (1.5, 2.0)
     ppt, value = np.zeros(n, dtype=bool), np.empty(n)
     criteria = np.empty((n, len(orders), len(separability.CRITERIA)))
     errors = np.empty(criteria.shape, dtype=object)
-    for stack, idx in _mixed_qubit_stacks(seed, n):
+    for stack, idx in qubits():
         value[idx] = stack.lambda_phi / stack.dim
         for a, q in enumerate(orders):
             parts, _, ppt[idx], _ = separability.verdict_columns(stack, q)
@@ -644,7 +643,7 @@ def _verify_separability(n: int, seed: int) -> list[str]:
     ]
 
 
-def _verify_zoo(n: int, seed: int) -> list[str]:
+def _verify_zoo(n: int, seed: int, qubits) -> list[str]:
     draws = []  # factors x0..x3 and matrix y of instance i, from its own substream
     for rng in zoo.rng_substreams(seed, range(n)):
         sub = int(rng.integers(2, 4))
@@ -732,6 +731,8 @@ def _verify_zoo(n: int, seed: int) -> list[str]:
     return lines
 
 
+# Each suite takes (n, seed, qubits); qubits() returns the run's
+# _mixed_qubit_stacks(seed, n), built on the first call of the run.
 SUITES = {
     "bounds": _verify_bounds,
     "lemmas": _verify_lemmas,
@@ -746,7 +747,8 @@ def cmd_verify(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     selected = list(SUITES) if args.suite == "all" else [args.suite]
-    lines = [line for name in selected for line in SUITES[name](args.n, args.seed)]
+    qubits = functools.cache(functools.partial(_mixed_qubit_stacks, args.seed, args.n))
+    lines = [line for name in selected for line in SUITES[name](args.n, args.seed, qubits)]
     if args.inject_invalid:
         bad = from_superoperator(
             1.5 * np.eye(4, dtype=complex), permissive=True, label="invalid(1.5*id)"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qchan import bounds, cli, separability, zoo
-from qchan.channels import Channel
+from qchan.channels import Channel, ChannelStack
 from qchan.cli import SCAN_BASE_COLUMNS, load_channel_spec, main
 
 LN2 = math.log(2.0)
@@ -626,10 +626,45 @@ def test_verify_fails_a_check_that_ran_no_instance(capsys):
 
 def test_verify_sigma1_oracle_catches_a_low_svd(capsys, monkeypatch):
     # the certificate is the search alone: an SVD that reads 1e-6 low must fail it
-    true_sigma1 = Channel.sigma1
-    monkeypatch.setattr(Channel, "sigma1", property(lambda ch: true_sigma1.fget(ch) - 1e-6))
+    true_sigma1 = ChannelStack.sigma1
+    monkeypatch.setattr(ChannelStack, "sigma1", property(lambda s: true_sigma1.fget(s) - 1e-6))
     assert main(["verify", "--suite", "bounds", "--n", "4", "--seed", "0"]) == 1
     assert "FAIL bounds.sigma1_oracle_one_sided checks=4 " in capsys.readouterr().out
+
+
+def test_verify_sigma1_oracle_catches_a_search_above_sigma1(capsys, monkeypatch):
+    # a search that overshoots sigma1 by more than the 1e-9 allowance fails
+    monkeypatch.setattr(bounds, "sigma1_search", lambda stack, budget, seeds: stack.sigma1 + 2e-9)
+    assert main(["verify", "--suite", "bounds", "--n", "4", "--seed", "0"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out[:3]] == ["PASS", "PASS", "FAIL"]
+    assert out[2].startswith("FAIL bounds.sigma1_oracle_one_sided checks=4 worst_slack=-1.0")
+    assert " reproducer=seed=0,index=0,est=" in out[2]
+
+
+def test_verify_runs_one_search_per_sampler_group_and_builds_its_qubits_once(
+    capsys, monkeypatch
+):
+    searches, builds = [], []
+    real_search, real_build = bounds.sigma1_search, cli._mixed_qubit_stacks
+
+    def search(stack, budget, seeds):
+        searches.append((len(stack), budget, list(seeds)))
+        return real_search(stack, budget, seeds)
+
+    def build(seed, n):
+        builds.append((seed, n))
+        return real_build(seed, n)
+
+    monkeypatch.setattr(bounds, "sigma1_search", search)
+    monkeypatch.setattr(cli, "_mixed_qubit_stacks", build)
+    assert main(["verify", "--suite", "all", "--n", "60", "--seed", "3"]) == 0
+    capsys.readouterr()
+    # the oracle's 50 channels come in three sampler groups, channel i seeded 3 + i
+    assert [(m, budget) for m, budget, _ in searches] == [(26, 500), (12, 500), (12, 500)]
+    assert sorted(s for _, _, seeds in searches for s in seeds) == list(range(3, 53))
+    # the bounds and separability suites share one build; the oracle has its own
+    assert builds == [(3, 60), (4, 50)]
 
 
 def _reference_qubit_channel(seed, i):

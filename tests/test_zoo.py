@@ -362,6 +362,8 @@ def test_rng_substreams_reject_indices_outside_64_bits():
     for bad in ([-1], [0, 2**64]):
         with pytest.raises(ValueError, match="substream indices"):
             rng_substreams(0, bad)
+        with pytest.raises(ValueError, match=rf"got {bad[-1]}\.\.{bad[-1]}$"):
+            rng_substream(0, bad[-1])
     assert rng_substreams(3, []) == []
 
 
