@@ -94,33 +94,6 @@ def _record(rid: str, lhs, rhs, relation: str, citation: str, slack=None) -> Bou
 
 
 # ---------------------------------------------------------------------------
-# the two spectrum lemmas
-#
-# For a matrix X with trace norm Lx and largest singular value x1, and an
-# entry reordering Y of X with trace norm Ly, every Rényi order q >= 1 gives
-#   ln(Lx/x1) <= S_q(X) <= q/(q-1) ln(Lx/x1)
-#   F_min ln(Ly/sqrt(x1 Lx)) <= S_q(Y) <= F_max ln(Ly/x1).
-# The channel bounds apply them to the superoperator and its reshuffle, the
-# Choi matrix (trace norm N, largest singular value d1).
-
-
-def _spectral_lower(lam, x1, q):
-    return np.log(lam / x1)
-
-
-def _spectral_upper(lam, x1, q):
-    return q_ratio(q) * np.log(lam / x1)
-
-
-def _reordered_lower(lam_y, x1, lam_x, q):
-    return f_min(q) * np.log(lam_y / np.sqrt(x1 * lam_x))
-
-
-def _reordered_upper(lam_y, x1, q):
-    return f_max(q) * np.log(lam_y / x1)
-
-
-# ---------------------------------------------------------------------------
 # largest singular value
 
 
@@ -207,14 +180,48 @@ def sigma1_variational(ch: Channel, budget: int = 2000, seed: int = 0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# matrix-level spectrum bounds
+# the two spectrum lemmas
 
-# The lemmas as rows (id, relation, citation), two on X and two on Y.
+
+def _from_one(q: float, interval: bool) -> bool:
+    # the paper states its bounds for q >= 1; F_min and G_min need it
+    return q >= 1.0
+
+
+def _above_one(q: float, interval: bool) -> bool:
+    # q/(q-1) and F_max are finite
+    return q > 1.0
+
+
+@dataclass(frozen=True)
+class Lemma:
+    """One spectrum lemma for a matrix X with trace norm ``Lx`` and largest
+    singular value ``x1``, and an entry reordering Y of X with trace norm
+    ``Ly``: ``S_q(X)`` (``S_q(Y)`` when ``on_y``) ``relation rhs(Lx, x1, Ly, q)``
+    at every order where ``applies(q, interval)``.
+    """
+
+    id: str
+    relation: str
+    applies: Callable[[float, bool], bool]
+    on_y: bool
+    rhs: Callable
+    citation: str
+
+
+# The two lemmas as four rows, two on X and two on Y.  The channel bounds
+# apply them to the superoperator and its reshuffle, the Choi matrix (trace
+# norm N, largest singular value d1), in both orders.
 LEMMA_ROWS = (
-    ("spectral_entropy_lower", ">=", "ln(L/x1) <= S_q(X)"),
-    ("spectral_entropy_upper", "<=", "S_q(X) <= q/(q-1) ln(L/x1)"),
-    ("reordered_entropy_lower", ">=", "F_min ln(Ly/sqrt(x1 Lx)) <= S_q(Y)"),
-    ("reordered_entropy_upper", "<=", "S_q(Y) <= F_max ln(Ly/x1)"),
+    Lemma("spectral_entropy_lower", ">=", _from_one, False,
+          lambda lx, x1, ly, q: np.log(lx / x1), "ln(L/x1) <= S_q(X)"),
+    Lemma("spectral_entropy_upper", "<=", _above_one, False,
+          lambda lx, x1, ly, q: q_ratio(q) * np.log(lx / x1), "S_q(X) <= q/(q-1) ln(L/x1)"),
+    Lemma("reordered_entropy_lower", ">=", _from_one, True,
+          lambda lx, x1, ly, q: f_min(q) * np.log(ly / np.sqrt(x1 * lx)),
+          "F_min ln(Ly/sqrt(x1 Lx)) <= S_q(Y)"),
+    Lemma("reordered_entropy_upper", "<=", _above_one, True,
+          lambda lx, x1, ly, q: f_max(q) * np.log(ly / x1), "S_q(Y) <= F_max ln(Ly/x1)"),
 )
 
 
@@ -228,58 +235,54 @@ def lemma_spectra(m, perm=None):
     return sx, y, sy
 
 
+def _lemma_rows(q: float, reordered: bool) -> list[Lemma]:
+    # the rows that lemma_columns evaluates at a checked order q
+    return [row for row in LEMMA_ROWS if row.applies(q, False) and (reordered or not row.on_y)]
+
+
 def lemma_columns(sx, sy, q):
-    """``(lhs, rhs, slack)``, each ``(B, k)``, of the first ``k`` rows of
-    :data:`LEMMA_ROWS` at order ``q``, from :func:`lemma_spectra`.  With
-    ``sy``, ``k = 4`` and ``q`` must exceed 1; without it ``k = 2``, or 1 at
-    ``q = 1``, where the upper bound drops out."""
+    """``(lhs, rhs, slack)``, each ``(B, k)``, of the rows of
+    :data:`LEMMA_ROWS` that apply at order ``q``, in that order, from
+    :func:`lemma_spectra`.  With ``sy``, ``k = 4`` and ``q`` must exceed 1;
+    without it ``k = 2``, or 1 at ``q = 1``, where the upper bound drops out."""
     if sy is not None and not float(q) > 1.0:
         raise ValueError(f"reordered-spectrum bounds require q > 1, got {float(q)}")
     q = renyi_order(q, minimum=1.0)
+    rows = _lemma_rows(q, sy is not None)
     lam_x, x1 = sx.sum(axis=-1), sx[:, 0]
     if not (lam_x > 0.0).all():
         raise ValueError("matrix must have at least one nonzero singular value")
-    sq = _renyi(spectrum_probabilities(sx), q)
-    rows = [(sq, _spectral_lower(lam_x, x1, q))]
-    if q > 1.0:
-        rows.append((sq, _spectral_upper(lam_x, x1, q)))
-    if sy is not None:
-        lam_y, sq_y = sy.sum(axis=-1), _renyi(spectrum_probabilities(sy), q)
-        rows.append((sq_y, _reordered_lower(lam_y, x1, lam_x, q)))
-        rows.append((sq_y, _reordered_upper(lam_y, x1, q)))
-    slack = [_slack(lhs, rhs, rel) for (lhs, rhs), (_, rel, _) in zip(rows, LEMMA_ROWS)]
-    return (*(np.column_stack(part) for part in zip(*rows)), np.column_stack(slack))
+    lam_y = None if sy is None else sy.sum(axis=-1)
+    s_x = _renyi(spectrum_probabilities(sx), q)
+    s_y = None if sy is None else _renyi(spectrum_probabilities(sy), q)
+    lhs = [s_y if row.on_y else s_x for row in rows]
+    rhs = [row.rhs(lam_x, x1, lam_y, q) for row in rows]
+    slack = [_slack(a, b, row.relation) for a, b, row in zip(lhs, rhs, rows)]
+    return tuple(np.column_stack(part) for part in (lhs, rhs, slack))
 
 
-def _lemma_records(x, perm, q) -> list[BoundRecord]:
-    # the B = 1 case of lemma_spectra and lemma_columns
+def _lemma_records(x, perm, q, on_y: bool) -> list[BoundRecord]:
+    # the B = 1 case of lemma_spectra and lemma_columns, its rows on X or on Y
     perm = None if perm is None else np.asarray(perm)[None]
-    lhs, rhs, slack = lemma_columns(*lemma_spectra(as_complex_matrix(x)[None], perm)[::2], q)
+    sx, _, sy = lemma_spectra(as_complex_matrix(x)[None], perm)
+    lhs, rhs, slack = lemma_columns(sx, sy, q)
     return [
-        _record(rid, lhs[0, j], rhs[0, j], rel, citation, slack[0, j])
-        for j, (rid, rel, citation) in enumerate(LEMMA_ROWS[: lhs.shape[1]])
+        _record(row.id, lhs[0, j], rhs[0, j], row.relation, row.citation, slack[0, j])
+        for j, row in enumerate(_lemma_rows(float(q), sy is not None))
+        if row.on_y == on_y
     ]
 
 
 def spectral_entropy_bounds(x, q) -> list[BoundRecord]:
-    """Bound ``S_q`` of a matrix spectrum by its extreme singular values.
-
-    With ``L`` the trace norm and ``x1`` the largest singular value of ``x``,
-    ``ln(L/x1) <= S_q(x) <= q/(q-1) ln(L/x1)``.  At ``q = 1`` only the lower
-    bound applies; ``q < 1`` is out of range.
-    """
-    return _lemma_records(x, None, q)
+    """Records of the :data:`LEMMA_ROWS` on ``X = x``, which bound ``S_q(x)``
+    by its trace norm and largest singular value; at ``q = 1`` the lower one."""
+    return _lemma_records(x, None, q, False)
 
 
 def reordered_entropy_bounds(x, perm, q) -> list[BoundRecord]:
-    """Bound ``S_q`` of an entry-reordered matrix by the original's spectrum.
-
-    For ``Y = reorder(X, perm)`` with trace norms ``Ly`` and ``Lx`` and
-    largest singular value ``x1`` of ``X``:
-    ``F_min ln(Ly/sqrt(x1 Lx)) <= S_q(Y) <= F_max ln(Ly/x1)``.
-    Requires ``q > 1`` (``inf`` allowed).
-    """
-    return _lemma_records(x, perm, q)[2:]
+    """Records of the :data:`LEMMA_ROWS` on ``Y = reorder(x, perm)``, which
+    bound ``S_q(Y)`` by the spectrum of ``x``.  Requires ``q > 1``."""
+    return _lemma_records(x, perm, q, True)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +320,6 @@ def receiver_upper_value(lam, n_dim: int, q):
 
 def _any_order(q: float, interval: bool) -> bool:
     return True
-
-
-def _from_one(q: float, interval: bool) -> bool:
-    # the paper states its bounds for q >= 1; F_min and G_min need it
-    return q >= 1.0
-
-
-def _above_one(q: float, interval: bool) -> bool:
-    # q/(q-1) and F_max are finite
-    return q > 1.0
 
 
 def _near_one(q: float, interval: bool) -> bool:
@@ -372,47 +365,40 @@ def _s_out(s: ChannelStack, q) -> np.ndarray:
     return entropies(s, "output", q)
 
 
+# A channel's two sides for the lemmas, as (S_q(X), S_q(Y), (Lx, x1, Ly)):
+# X is the superoperator and Y its reshuffle, the Choi matrix, or the other
+# way round.
+_SUPEROP = (_s_rec, _s_map, lambda s: (s.lambda_phi, s.sigma1, s.dim))
+_CHOI = (_s_map, _s_rec, lambda s: (s.dim, s.d1, s.lambda_phi))
+
+
+def _applied(rid: str, lemma_id: str, side, citation: str) -> Bound:
+    """The table row ``rid``: the lemma ``lemma_id`` applied to ``side``."""
+    lemma = next(row for row in LEMMA_ROWS if row.id == lemma_id)
+    s_x, s_y, norms = side
+    return Bound(
+        rid, lemma.relation, lemma.applies, s_y if lemma.on_y else s_x,
+        lambda s, q: lemma.rhs(*norms(s), q), citation,
+    )
+
+
 TABLE: tuple[Bound, ...] = (
-    Bound(
-        "receiver_self_lower", ">=", _from_one, _s_rec,
-        lambda s, q: _spectral_lower(s.lambda_phi, s.sigma1, q),
-        "ln(L/s1) <= S_q_rec",
-    ),
-    Bound(
-        "map_self_lower", ">=", _from_one, _s_map,
-        lambda s, q: _spectral_lower(s.dim, s.d1, q),
-        "ln(N/d1) <= S_q_map",
-    ),
-    Bound(
-        "receiver_cross_lower", ">=", _from_one, _s_rec,
-        lambda s, q: _reordered_lower(s.lambda_phi, s.d1, s.dim, q),
-        "F_min ln(L/sqrt(N d1)) <= S_q_rec",
-    ),
-    Bound(
-        "map_cross_lower", ">=", _from_one, _s_map,
-        lambda s, q: _reordered_lower(s.dim, s.sigma1, s.lambda_phi, q),
-        "F_min ln(N/sqrt(s1 L)) <= S_q_map",
-    ),
-    Bound(
-        "receiver_self_upper", "<=", _above_one, _s_rec,
-        lambda s, q: _spectral_upper(s.lambda_phi, s.sigma1, q),
-        "S_q_rec <= q/(q-1) ln(L/s1)",
-    ),
-    Bound(
-        "map_self_upper", "<=", _above_one, _s_map,
-        lambda s, q: _spectral_upper(s.dim, s.d1, q),
-        "S_q_map <= q/(q-1) ln(N/d1)",
-    ),
-    Bound(
-        "receiver_cross_upper", "<=", _above_one, _s_rec,
-        lambda s, q: _reordered_upper(s.lambda_phi, s.d1, q),
-        "S_q_rec <= F_max ln(L/d1)",
-    ),
-    Bound(
-        "map_cross_upper", "<=", _above_one, _s_map,
-        lambda s, q: _reordered_upper(s.dim, s.sigma1, q),
-        "S_q_map <= F_max ln(N/s1)",
-    ),
+    _applied("receiver_self_lower", "spectral_entropy_lower", _SUPEROP,
+             "ln(L/s1) <= S_q_rec"),
+    _applied("map_self_lower", "spectral_entropy_lower", _CHOI,
+             "ln(N/d1) <= S_q_map"),
+    _applied("receiver_cross_lower", "reordered_entropy_lower", _CHOI,
+             "F_min ln(L/sqrt(N d1)) <= S_q_rec"),
+    _applied("map_cross_lower", "reordered_entropy_lower", _SUPEROP,
+             "F_min ln(N/sqrt(s1 L)) <= S_q_map"),
+    _applied("receiver_self_upper", "spectral_entropy_upper", _SUPEROP,
+             "S_q_rec <= q/(q-1) ln(L/s1)"),
+    _applied("map_self_upper", "spectral_entropy_upper", _CHOI,
+             "S_q_map <= q/(q-1) ln(N/d1)"),
+    _applied("receiver_cross_upper", "reordered_entropy_upper", _CHOI,
+             "S_q_rec <= F_max ln(L/d1)"),
+    _applied("map_cross_upper", "reordered_entropy_upper", _SUPEROP,
+             "S_q_map <= F_max ln(N/s1)"),
     # bistochastic channels have t1 = 1/N, which forces s1 = 1
     Bound(
         "sigma1_vs_tau1", "<=", _from_one,
@@ -563,11 +549,12 @@ def record(ch: Channel, bound_id: str, q) -> BoundRecord:
     """Record of the table row ``bound_id`` for ``ch`` at Rényi order ``q``.
 
     A row that raises gives its ``<id>_error`` record.  Raises ``KeyError``
-    for an unknown id and ``ValueError`` when the row does not apply at ``q``.
+    for an unknown id and ``ValueError`` when the row does not apply to ``ch``
+    at ``q``; the interval rows apply only to a channel built as an interval map.
     """
     q = renyi_order(q)
     bound = {b.id: b for b in TABLE}[bound_id]
-    if not bound.applies(q, True):
+    if not bound.applies(q, bool(ch.meta.get("interval"))):
         raise ValueError(f"bound {bound_id} does not apply at q = {q}")
     return table_records([bound], table_columns(ch.stack, q, [bound]))[0]
 

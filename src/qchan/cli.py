@@ -577,19 +577,21 @@ def _verify_lemmas(n: int, seed: int, qubits) -> list[str]:
         i, a = np.unravel_index(k, interp.shape)
         return f"seed={seed},index={i},q={orders[a]}"
 
-    def lemma_check(name: str, rows: slice) -> str:
-        ids = [rid for rid, _, _ in bounds.LEMMA_ROWS[rows]]
+    def lemma_check(name: str, on_y: bool) -> str:
+        # every order exceeds 1, so lemma_columns gives every row of LEMMA_ROWS
+        cols = [j for j, row in enumerate(bounds.LEMMA_ROWS) if row.on_y == on_y]
+        ids = [bounds.LEMMA_ROWS[j].id for j in cols]
 
         def case(k: int) -> str:
             i, a, j = np.unravel_index(k, (n, len(orders), len(ids)))
             return f"seed={seed},index={i},q={orders[a]},id={ids[j]}"
 
-        return _check(name, slack[..., rows], case, 1e-10)
+        return _check(name, slack[..., cols], case, 1e-10)
 
     return [
         _check("lemmas.norm_interpolation", interp, interp_case, 1e-10),
-        lemma_check("lemmas.spectrum_vs_extremes", slice(0, 2)),
-        lemma_check("lemmas.reordered_spectrum", slice(2, 4)),
+        lemma_check("lemmas.spectrum_vs_extremes", on_y=False),
+        lemma_check("lemmas.reordered_spectrum", on_y=True),
         _check(
             "lemmas.reorder_norm_invariance",
             1e-12 - dev,
@@ -600,11 +602,11 @@ def _verify_lemmas(n: int, seed: int, qubits) -> list[str]:
 
 def _verify_separability(n: int, seed: int, qubits) -> list[str]:
     orders = (1.5, 2.0)
-    ppt, value = np.zeros(n, dtype=bool), np.empty(n)
+    ppt, value, margin = np.zeros(n, dtype=bool), np.empty(n), np.empty(n)
     criteria = np.empty((n, len(orders), len(separability.CRITERIA)))
     errors = np.empty(criteria.shape, dtype=object)
     for stack, idx in qubits():
-        value[idx] = stack.lambda_phi / stack.dim
+        value[idx], margin[idx] = separability.realignment_stack(stack)
         for a, q in enumerate(orders):
             parts, _, ppt[idx], _ = separability.verdict_columns(stack, q)
             criteria[idx, a], errors[idx, a] = parts[2:]
@@ -632,7 +634,7 @@ def _verify_separability(n: int, seed: int, qubits) -> list[str]:
         ),
         _check(
             "separability.ppt_implies_realignment",
-            1.0 + separability.REALIGNMENT_TOL - value[rows],
+            margin[rows],
             lambda k: f"seed={seed},index={rows[k]},value={value[rows[k]]:.12g}",
         ),
         _check(

@@ -82,15 +82,23 @@ def ppt_test(ch: Channel) -> tuple[float, bool]:
     return float(min_eig[0]), bool(ppt[0])
 
 
-def realignment_test(ch: Channel) -> tuple[float, bool]:
-    """Trace norm of ``omega`` reshuffled, i.e. ``L/N``, with a certificate.
+def realignment_stack(stack: ChannelStack) -> tuple[np.ndarray, np.ndarray]:
+    """Trace norm of each reshuffled ``omega``, i.e. ``L/N``, and its margin
+    ``1 + REALIGNMENT_TOL - L/N`` to the realignment threshold.
 
-    Separability of ``omega`` forces the value to be at most 1, so a value
-    above ``1 + 1e-9`` certifies entanglement.  The converse fails: values
-    at or below 1 prove nothing.
+    Separability of ``omega`` forces the value to be at most 1, so a
+    negative margin certifies entanglement.  The converse fails: values at
+    or below 1 prove nothing.
     """
-    value = ch.lambda_phi / ch.dim
-    return float(value), bool(value > 1.0 + REALIGNMENT_TOL)
+    value = stack.lambda_phi / stack.dim
+    return value, 1.0 + REALIGNMENT_TOL - value
+
+
+def realignment_test(ch: Channel) -> tuple[float, bool]:
+    """:func:`realignment_stack` of one channel: ``L/N`` and whether its
+    margin certifies entanglement."""
+    value, margin = realignment_stack(ch.stack)
+    return float(value[0]), bool(margin[0] < 0.0)
 
 
 def separable_criteria(ch: Channel, q) -> list[BoundRecord]:

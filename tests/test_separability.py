@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qchan.bounds import record
-from qchan.channels import Channel, ChannelStack, from_superoperator
+from qchan.channels import ChannelStack, from_superoperator
 from qchan.separability import (
     PPT_RTOL,
     REALIGNMENT_TOL,
@@ -231,7 +231,8 @@ def test_verdict_invariants_over_random_channels():
 def test_realignment_verdict_follows_its_certificate(monkeypatch):
     # L/N = 1 + 0.75e-9 lies inside the realignment tolerance: not certified
     # entangled, so the verdict must not report a failed realignment test
-    monkeypatch.setattr(Channel, "lambda_phi", property(lambda self: 2.0 + 1.5e-9))
+    planted = property(lambda self: np.full(len(self), 2.0 + 1.5e-9))
+    monkeypatch.setattr(ChannelStack, "lambda_phi", planted)
     ch = depolarizing(2, 1.0 / 3.0)
     value, certified = realignment_test(ch)
     assert value == (2.0 + 1.5e-9) / 2.0 and not certified
