@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import Channel, ChannelStack, ValidationError
+from .channels import TP_TOL, Channel, ChannelStack, ValidationError
 from .entropy import DIAGNOSTICS, Q_ONE_WINDOW, _renyi, entropies, spectrum_probabilities
 from .matcore import as_complex_matrix, first_failure, renyi_order, reorder
 from .zoo import rng_stream
@@ -243,10 +243,8 @@ def _lemma_rows(q: float, reordered: bool) -> list[Lemma]:
 def lemma_columns(sx, sy, q):
     """``(lhs, rhs, slack)``, each ``(B, k)``, of the rows of
     :data:`LEMMA_ROWS` that apply at order ``q``, in that order, from
-    :func:`lemma_spectra`.  With ``sy``, ``k = 4`` and ``q`` must exceed 1;
-    without it ``k = 2``, or 1 at ``q = 1``, where the upper bound drops out."""
-    if sy is not None and not float(q) > 1.0:
-        raise ValueError(f"reordered-spectrum bounds require q > 1, got {float(q)}")
+    :func:`lemma_spectra`: ``k = 4`` with ``sy`` and 2 without it, halved at
+    ``q = 1``, where the upper bounds drop out."""
     q = renyi_order(q, minimum=1.0)
     rows = _lemma_rows(q, sy is not None)
     lam_x, x1 = sx.sum(axis=-1), sx[:, 0]
@@ -281,7 +279,7 @@ def spectral_entropy_bounds(x, q) -> list[BoundRecord]:
 
 def reordered_entropy_bounds(x, perm, q) -> list[BoundRecord]:
     """Records of the :data:`LEMMA_ROWS` on ``Y = reorder(x, perm)``, which
-    bound ``S_q(Y)`` by the spectrum of ``x``.  Requires ``q > 1``."""
+    bound ``S_q(Y)`` by the spectrum of ``x``; at ``q = 1`` the lower one."""
     return _lemma_records(x, perm, q, True)
 
 
@@ -304,7 +302,7 @@ def receiver_upper_value(lam, n_dim: int, q):
     i = first_failure(np.isfinite(lam_in))
     if i is not None:
         raise ValidationError(f"trace norm {lam_in.flat[i]} is not finite")
-    i = first_failure(lam_in >= 1.0 - 1e-9)
+    i = first_failure(lam_in >= 1.0 - TP_TOL)
     if i is not None:
         raise ValidationError(
             f"trace norm {lam_in.flat[i]:.12g} below 1; "

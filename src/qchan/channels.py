@@ -16,6 +16,7 @@ import numpy as np
 
 from .matcore import (
     HERM_TOL,
+    SPECTRUM_ZERO_RTOL,
     _square_side,
     as_complex_matrix,
     first_failure,
@@ -28,8 +29,6 @@ from .matcore import (
 TP_TOL = 1e-9
 # Complete positivity: Choi eigenvalues above -PSD_RTOL * |D|_2 count as >= 0.
 PSD_RTOL = 1e-9
-# Choi eigenvalues below KRAUS_RTOL * lambda_max are dropped by choi_to_kraus.
-KRAUS_RTOL = 1e-12
 # The one Gram rule, |V^dag V - 1|_2, for isometries, unitaries and Kraus sets.
 UNITARY_TOL = 1e-10
 # Density-matrix checks: |tr(rho) - 1| and eigenvalue negativity allowance.
@@ -349,9 +348,9 @@ def from_choi(d, dim=None, *, permissive=False, label=None, meta=None) -> Channe
 def choi_to_kraus(choi, dim: int | None = None) -> list[np.ndarray]:
     """Canonical Kraus set of a CP map from its Choi eigendecomposition.
 
-    Eigenvalues below ``KRAUS_RTOL`` times the largest are dropped, so the
-    returned list has between 1 and N^2 operators ordered by decreasing
-    weight ``tr A_i^dag A_i``.
+    Eigenvalues below ``SPECTRUM_ZERO_RTOL`` times the largest, which the
+    map entropy counts as zeros, are dropped, so the returned list has
+    between 1 and N^2 operators ordered by decreasing weight ``tr A_i^dag A_i``.
     """
     choi = as_complex_matrix(choi)
     n = _square_side(choi, dim)
@@ -364,7 +363,7 @@ def choi_to_kraus(choi, dim: int | None = None) -> list[np.ndarray]:
             f"Choi matrix is not positive semidefinite: eigenvalue {w[0]:.3e} "
             f"below -{PSD_RTOL * scale:.3e}"
         )
-    cutoff = KRAUS_RTOL * w[-1]
+    cutoff = SPECTRUM_ZERO_RTOL * w[-1]
     ops = []
     for i in range(w.size - 1, -1, -1):
         if w[i] > cutoff:

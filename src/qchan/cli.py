@@ -346,24 +346,23 @@ def _scan_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int, q: f
     point = entropy.entropy_columns(stack, q)
     columns = [[label.replace(",", ";") for label in labels], list(indices), [q] * len(indices)]
     columns += [point[name] for name in SCAN_BASE_COLUMNS[3:-1]]
-    checked = (*table, *separability.CRITERIA)
-    parts = bounds.table_columns(stack, q, checked)
-    slack, errors = parts[2:]
+    parts = bounds.table_columns(stack, q, table)
+    criteria, _, _, regions = separability.verdict_columns(stack, q)
     # Any failure ends the scan, never a nan cell or a region read off one.
     # The message names the first bad bound in table order (the bounds, then
     # the criteria), at its lowest row.
-    for j, bound in enumerate(checked):
-        bad = np.flatnonzero(~np.isfinite(slack[:, j]))
-        if bad.size:
-            r, exc = bad[0], errors[bad[0], j]
-            if exc is None:
-                why = f"is not finite at seed_index {indices[r]} (slack {slack[r, j]})"
-            else:
-                why = f"failed on seed_index {indices[r]}: {type(exc).__name__}: {exc}"
-            raise ValidationError(f"bound {bound.id} {why}")
-    criteria = [part[:, len(table):] for part in parts]
-    columns.append(separability.verdict_columns(stack, q, criteria)[3])
-    return columns + list(slack[:, : len(table)].T)
+    for checked, (_, _, slack, errors) in ((table, parts), (separability.CRITERIA, criteria)):
+        for j, bound in enumerate(checked):
+            bad = np.flatnonzero(~np.isfinite(slack[:, j]))
+            if bad.size:
+                r, exc = bad[0], errors[bad[0], j]
+                if exc is None:
+                    why = f"is not finite at seed_index {indices[r]} (slack {slack[r, j]})"
+                else:
+                    why = f"failed on seed_index {indices[r]}: {type(exc).__name__}: {exc}"
+                raise ValidationError(f"bound {bound.id} {why}")
+    columns.append(regions)
+    return columns + list(parts[2].T)
 
 
 def _scan_columns(ensemble: str, dim: int, seed: int, n: int, q: float, table) -> list[list]:

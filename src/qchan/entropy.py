@@ -26,7 +26,7 @@ from .matcore import (
     hermitian_eigenvalues,
     renyi_order,
 )
-from .channels import Channel, ChannelStack, ValidationError, _check_kraus, check_state
+from .channels import STATE_TOL, Channel, ChannelStack, ValidationError, _check_kraus, check_state
 
 # |q - 1| below this window routes to the Shannon limit of the Rényi formula
 # and its first-order term in q - 1.
@@ -154,10 +154,7 @@ def probabilities(stack: ChannelStack, kind: str) -> np.ndarray:
         elif kind == "receiver":
             p = spectrum_probabilities(stack.singular_values)
         elif kind == "output":
-            scale = np.linalg.norm(stack.output_state, axis=(-2, -1))
-            p = spectrum_probabilities(
-                stack.output_eigenvalues, negative_tol=1e-9 * np.maximum(scale, 1.0)
-            )
+            p = spectrum_probabilities(stack.output_eigenvalues, negative_tol=STATE_TOL)
         else:
             raise ValueError(f"unknown spectrum {kind!r}")
         p.setflags(write=False)
@@ -215,9 +212,8 @@ def exchange_entropy(ch: Channel, rho) -> float:
     root = _psd_sqrt(rho)
     s4 = ch.superop.reshape(n, n, n, n)
     joint = np.einsum("klmn,mb,nd->kbld", s4, root, root.conj()).reshape(n * n, n * n)
-    eigs = hermitian_eigenvalues(joint, herm_tol=1e-8)
-    scale = float(np.linalg.norm(joint))
-    return renyi(spectrum_probabilities(eigs, negative_tol=1e-9 * max(scale, 1.0)), 1.0)
+    eigs = hermitian_eigenvalues(joint)
+    return renyi(spectrum_probabilities(eigs, negative_tol=STATE_TOL), 1.0)
 
 
 def output_entropy(ch: Channel, q) -> float:
@@ -239,15 +235,13 @@ def bloch_ellipsoid(ch: Channel) -> tuple[float, float, float]:
         raise ValueError(f"Bloch ellipsoid is defined for qubit channels, got dim {ch.dim}")
     if not ch.unital:
         raise ValueError("Bloch ellipsoid requires a unital channel")
+    if not ch.stack.hermitian[0]:  # else its Pauli transfer block is not real
+        raise ValidationError("Bloch ellipsoid requires a Hermitian Choi matrix")
     t = np.empty((3, 3), dtype=complex)
     for j in range(3):
         image = (ch.superop @ PAULI[j + 1].reshape(-1)).reshape(2, 2)
         for i in range(3):
             t[i, j] = 0.5 * np.trace(PAULI[i + 1] @ image)
-    if np.abs(t.imag).max() > 1e-9:
-        raise ValidationError(
-            f"Pauli transfer block has imaginary part {np.abs(t.imag).max():.3e}"
-        )
     axes = np.sort(np.linalg.svd(t.real, compute_uv=False))
     return (float(axes[0]), float(axes[1]), float(axes[2]))
 

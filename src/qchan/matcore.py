@@ -129,11 +129,11 @@ def singular_values(m) -> np.ndarray:
         ) from exc
 
 
-def hermitian_part(h, herm_tol: float = HERM_TOL):
+def hermitian_part(h):
     """Check and symmetrize a stack of square matrices (the last two axes).
 
     Returns ``(sym, ok, dev, scale)``: the Hermitian parts ``(h + h^dag)/2``,
-    whether ``|h - h^dag|_2 <= herm_tol * |h|_2`` holds, and those two
+    whether ``|h - h^dag|_2 <= HERM_TOL * |h|_2`` holds, and those two
     Frobenius norms, each with one entry per matrix.  What a failed check
     means is left to the caller.
     """
@@ -141,7 +141,7 @@ def hermitian_part(h, herm_tol: float = HERM_TOL):
     adj = h.swapaxes(-1, -2).conj()
     dev = np.linalg.norm(h - adj, axis=(-2, -1))
     scale = np.linalg.norm(h, axis=(-2, -1))
-    ok = dev <= herm_tol * np.maximum(scale, 1e-300)
+    ok = dev <= HERM_TOL * np.maximum(scale, 1e-300)
     return (h + adj) / 2.0, ok, dev, scale
 
 
@@ -153,11 +153,11 @@ def first_failure(ok) -> int | None:
     return int(np.flatnonzero(~ok)[0])
 
 
-def hermitian_eigenvalues(h, herm_tol: float = HERM_TOL) -> np.ndarray:
+def hermitian_eigenvalues(h) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, or of a stack of them, sorted
     descending along the last axis.
 
-    Every matrix must satisfy ``|h - h^dag|_2 <= herm_tol * |h|_2``; it is
+    Every matrix must satisfy ``|h - h^dag|_2 <= HERM_TOL * |h|_2``; it is
     then symmetrized as ``(h + h^dag)/2`` before the decomposition, so the
     result is exactly real (possibly negative).  A failing stack entry is
     named by its index.
@@ -167,14 +167,14 @@ def hermitian_eigenvalues(h, herm_tol: float = HERM_TOL) -> np.ndarray:
         raise ValueError(f"expected square matrices, got an array of shape {h.shape}")
     if not np.isfinite(h).all():
         raise ValueError("matrix contains non-finite entries")
-    sym, ok, dev, scale = hermitian_part(h, herm_tol)
+    sym, ok, dev, scale = hermitian_part(h)
     i = first_failure(ok)
     if i is not None:
         where = f"stack entry {i}: " if h.ndim > 2 else ""
         dev, scale = dev.flat[i], scale.flat[i]
         raise ValueError(
             f"{where}matrix is not Hermitian: |h - h^dag|_2 = {dev:.3e} "
-            f"exceeds {herm_tol:.1e} * |h|_2 = {herm_tol * scale:.3e}"
+            f"exceeds {HERM_TOL:.1e} * |h|_2 = {HERM_TOL * scale:.3e}"
         )
     return np.ascontiguousarray(np.linalg.eigvalsh(sym)[..., ::-1])
 

@@ -128,14 +128,13 @@ class SeparabilityVerdict:
         return json_safe(asdict(self))
 
 
-def verdict_columns(stack: ChannelStack, q, criteria=None):
+def verdict_columns(stack: ChannelStack, q):
     """``(criteria, min_eig, ppt, regions)`` of a stack at Rényi order ``q >= 1``:
-    the :func:`bounds.table_columns` of :data:`CRITERIA` (evaluated unless
-    given), :func:`ppt_stack`, and the region rule of the module docstring.
+    the :func:`bounds.table_columns` of :data:`CRITERIA`, :func:`ppt_stack`,
+    and the region rule of the module docstring.
     """
     renyi_order(q, minimum=1.0)
-    if criteria is None:
-        criteria = table_columns(stack, q, CRITERIA)
+    criteria = table_columns(stack, q, CRITERIA)
     violated = (criteria[2] < -CHECK_TOL).any(axis=1)
     min_eig, ppt = ppt_stack(stack)
     certified = "C" if stack.dim == 2 else "indeterminate"

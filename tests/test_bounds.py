@@ -176,8 +176,7 @@ def test_lemma_columns_keep_the_one_matrix_errors():
     good = np.eye(3)[None]
     sx, _, sy = bounds.lemma_spectra(good, np.arange(9)[None])
     assert bounds.lemma_columns(sx, None, 1.0)[0].shape == (1, 1)
-    with pytest.raises(ValueError, match="q > 1"):
-        bounds.lemma_columns(sx, sy, 1.0)
+    assert bounds.lemma_columns(sx, sy, 1.0)[0].shape == (1, 2)  # the two lower rows
     with pytest.raises(ValueError, match="Rényi order"):
         bounds.lemma_columns(sx, None, 0.5)
     sx, _, _ = bounds.lemma_spectra(np.array([np.eye(3), np.zeros((3, 3))]))
@@ -189,10 +188,43 @@ def test_lemma_columns_keep_the_one_matrix_errors():
         bounds.lemma_spectra(good, np.zeros((1, 9), dtype=int))
 
 
-def test_reordered_entropy_bounds_requires_q_above_one():
+def test_reordered_entropy_bounds_give_the_lower_record_at_q_one():
     x = np.eye(4)
-    with pytest.raises(ValueError):
-        reordered_entropy_bounds(x, reshuffle_permutation(2), 1.0)
+    (rec,) = reordered_entropy_bounds(x, reshuffle_permutation(2), 1.0)
+    assert rec.id == "reordered_entropy_lower" and rec.satisfied
+
+
+def _adversarial_matrix(kind: str, size: int, rng) -> np.ndarray:
+    """A ``size x size`` complex matrix of one of the shapes that stress the
+    spectrum lemmas: sparse, rank one, a scaled identity, or with repeated
+    singular values."""
+    g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    if kind == "sparse":
+        g[rng.random((size, size)) < 0.7] = 0.0
+        g[rng.integers(size), rng.integers(size)] = 1.0
+    elif kind == "rank_one":
+        g = np.outer(g[0], g[1].conj())
+    elif kind == "scaled_identity":
+        g = 10.0 ** rng.uniform(-3, 3) * np.eye(size)
+    elif kind == "repeated":
+        u, _, vh = np.linalg.svd(g)
+        s = rng.choice([0.0, 1.0, 2.0], size)
+        s[0] = 2.0  # never the zero matrix
+        g = (u * s) @ vh
+    return g
+
+
+@pytest.mark.parametrize("kind", ("dense", "sparse", "rank_one", "scaled_identity", "repeated"))
+def test_reordered_entropy_lower_holds_at_q_one(kind):
+    # S_1(Y) >= S_2(Y) = ln(Ly^2 / |X|_F^2) >= ln(Ly^2 / (x1 Lx)), since a
+    # reordering keeps |X|_F and sum s_i^2 <= s1 sum s_i.
+    for i in range(120):
+        rng = rng_substream(69, i)
+        size = 2 + i % 8
+        x = _adversarial_matrix(kind, size, rng)
+        (rec,) = reordered_entropy_bounds(x, rng.permutation(size * size), 1.0)
+        assert rec.id == "reordered_entropy_lower"
+        assert rec.slack >= -1e-10, (kind, i, rec)
 
 
 def test_reordered_entropy_bounds_hold_for_reshuffle():
@@ -224,15 +256,17 @@ CHANNEL_LEMMAS = {
 }
 
 
-@pytest.mark.parametrize("q", (1.5, 2.0, math.inf))
+@pytest.mark.parametrize("q", (1.0, 1.5, 2.0, math.inf))
 @pytest.mark.parametrize("n", (2, 3))
 def test_the_self_and_cross_rows_are_the_lemma_rows(n, q):
+    # at q = 1 only the lower rows apply, on the table as in lemma_columns
     rngs = rng_substreams(68 + n, range(16))
     cptp, _ = random_cptp_stack(n, [1 + i % (n * n) for i in range(8)], rngs[:8])
     bistochastic, _ = random_bistochastic_stack(n, [1 + i % 3 for i in range(8)], rngs[8:])
-    table = [b for b in TABLE if b.id in CHANNEL_LEMMAS]
-    lemma_ids = [row.id for row in bounds.LEMMA_ROWS]
-    assert [b.id for b in table] == list(CHANNEL_LEMMAS)
+    table = [b for b in TABLE if b.id in CHANNEL_LEMMAS and b.applies(q, False)]
+    rows = [row for row in bounds.LEMMA_ROWS if row.applies(q, False)]
+    lemma_ids = [row.id for row in rows]
+    assert [b.id for b in table] == list(CHANNEL_LEMMAS)[: 2 * len(rows)]
     for stack in (cptp, bistochastic):
         sigma = {
             "S": np.linalg.svd(stack.superop, compute_uv=False),
@@ -247,7 +281,7 @@ def test_the_self_and_cross_rows_are_the_lemma_rows(n, q):
         for j, b in enumerate(table):
             x, lemma_id = CHANNEL_LEMMAS[b.id]
             k = lemma_ids.index(lemma_id)
-            assert b.relation == bounds.LEMMA_ROWS[k].relation
+            assert b.relation == rows[k].relation
             for want, have in zip(lemma[x], got):  # lhs, rhs and slack
                 np.testing.assert_allclose(have[:, j], want[:, k], 0, 1e-12, err_msg=b.id)
 

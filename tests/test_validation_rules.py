@@ -1,28 +1,37 @@
 """Each validation rule at every call site: a planted violation is rejected
 with the rule's own message, and an input just inside the rule passes."""
 
+import importlib
 import math
+import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qchan
+
 from qchan.bounds import applicable_bounds, evaluate_all, f_min, receiver_upper_value
 from qchan.channels import (
+    STATE_TOL,
     UNITARY_TOL,
     Channel,
     ChannelStack,
     ValidationError,
+    check_state,
     choi_to_kraus,
     from_choi,
     from_environment,
     from_isometry,
     from_kraus,
+    from_superoperator,
     isometry_superops,
     remix_kraus,
 )
-from qchan.entropy import povm_entropy, renyi
+from qchan.entropy import bloch_ellipsoid, exchange_entropy, output_entropy, povm_entropy, renyi
 from qchan.cli import _parse_q
-from qchan.matcore import q_norm, reshuffle
+from qchan.matcore import HERM_TOL, hermitian_eigenvalues, q_norm, reshuffle
 from qchan.separability import classify_region, partial_transpose, separable_criteria
 from qchan.zoo import (
     coarse_graining,
@@ -185,3 +194,101 @@ def test_weight_rule(p):
     pauli_channel([0.5, 0.5 + 1e-13, -1e-13, 0.0])
     with pytest.raises(ValueError, match="^weights"):
         pauli_channel(p)
+
+
+def _skewed(h, deviation):
+    """``h`` plus an anti-Hermitian part in entries (0, 1) and (1, 0), sized so
+    that ``|h - h^dag|_2 / |h|_2`` equals ``deviation``.  The trace stays,
+    and so, for a qubit Choi matrix, does the map's image of the identity."""
+    h = np.array(h, dtype=complex)
+    eps = deviation * np.linalg.norm(h) / (2.0 * math.sqrt(2.0))
+    h[0, 1] += 1j * eps
+    h[1, 0] += 1j * eps
+    return h
+
+
+def _skewed_choi(deviation):
+    # a unital qubit channel, so that bloch_ellipsoid takes it
+    return from_choi(_skewed(depolarizing(2, 0.5).choi, deviation), permissive=True)
+
+
+HERMITIAN_SITES = {
+    "ChannelStack": lambda dev: ChannelStack(
+        reshuffle(_skewed(depolarizing(2, 0.5).choi, dev))[None], 2
+    ),
+    "check_state": lambda dev: check_state(_skewed(np.diag([0.6, 0.4]), dev)),
+    "choi_to_kraus": lambda dev: choi_to_kraus(_skewed(depolarizing(2, 0.5).choi, dev)),
+    "hermitian_eigenvalues": lambda dev: hermitian_eigenvalues(
+        np.array([np.eye(3), _skewed(np.diag([3.0, 2.0, 1.0]), dev)])
+    ),
+    # with rho = 1/N the exchange state is D/N
+    "exchange_entropy": lambda dev: exchange_entropy(_skewed_choi(dev), np.eye(2) / 2),
+    "bloch_ellipsoid": lambda dev: bloch_ellipsoid(_skewed_choi(dev)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(HERMITIAN_SITES))
+def test_hermitian_rule(site):
+    HERMITIAN_SITES[site](0.5 * HERM_TOL)
+    with pytest.raises(ValueError, match="Hermitian"):
+        HERMITIAN_SITES[site](2.0 * HERM_TOL)
+
+
+def _negative_output(negativity):
+    """A permissive qubit map with ``Phi(1/2) = diag(2.5, -negativity)``, whose
+    exchange state at ``rho = 1/2`` is ``diag(2.5, 0, 0, -negativity)``: both
+    norms exceed 1, so a tolerance scaled by them would let more through."""
+    superop = np.diag([5.0, 0.0, 0.0, -2.0 * negativity])
+    return from_superoperator(superop, permissive=True)
+
+
+NEGATIVITY_SITES = {
+    "check_state": lambda neg: check_state(np.diag([0.5 + neg, 0.5, -neg])),
+    "output_entropy": lambda neg: output_entropy(_negative_output(neg), 2.0),
+    "exchange_entropy": lambda neg: exchange_entropy(_negative_output(neg), np.eye(2) / 2),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NEGATIVITY_SITES))
+def test_state_negativity_rule(site):
+    NEGATIVITY_SITES[site](0.5 * STATE_TOL)
+    with pytest.raises(ValidationError, match="negativ"):
+        NEGATIVITY_SITES[site](2.0 * STATE_TOL)
+
+
+def _rule_table() -> list[list[str]]:
+    """Cells of README's rule table, one list per row below its header."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8").splitlines()
+    start = lines.index("| Rule | Function |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+    return rows
+
+
+def _modules():
+    for info in pkgutil.iter_modules(qchan.__path__):
+        if info.name != "__main__":
+            yield importlib.import_module(f"qchan.{info.name}")
+
+
+def test_every_tolerance_has_a_row_in_the_rule_table():
+    table = " ".join(" ".join(row) for row in _rule_table())
+    names = {
+        name
+        for module in _modules()
+        for name, value in vars(module).items()
+        if re.search(r"_R?TOL$", name) and isinstance(value, float)
+    }
+    assert {"HERM_TOL", "CHECK_TOL", "PPT_RTOL"} <= names
+    assert sorted(name for name in names if not re.search(rf"\b{name}\b", table)) == []
+
+
+def test_every_function_of_the_rule_table_resolves():
+    sites = [site for _, function in _rule_table() for site in re.findall(r"`(\w+\.\w+)", function)]
+    assert len(sites) > 10
+    for site in sites:
+        module, name = site.split(".")
+        assert hasattr(importlib.import_module(f"qchan.{module}"), name), site
