@@ -183,12 +183,12 @@ def sigma1_variational(ch: Channel, budget: int = 2000, seed: int = 0) -> float:
 # the two spectrum lemmas
 
 
-def _from_one(q: float, interval: bool) -> bool:
+def _from_one(q: float) -> bool:
     # the paper states its bounds for q >= 1; F_min and G_min need it
     return q >= 1.0
 
 
-def _above_one(q: float, interval: bool) -> bool:
+def _above_one(q: float) -> bool:
     # q/(q-1) and F_max are finite
     return q > 1.0
 
@@ -198,12 +198,12 @@ class Lemma:
     """One spectrum lemma for a matrix X with trace norm ``Lx`` and largest
     singular value ``x1``, and an entry reordering Y of X with trace norm
     ``Ly``: ``S_q(X)`` (``S_q(Y)`` when ``on_y``) ``relation rhs(Lx, x1, Ly, q)``
-    at every order where ``applies(q, interval)``.
+    at every order where ``applies(q)``.
     """
 
     id: str
     relation: str
-    applies: Callable[[float, bool], bool]
+    applies: Callable[[float], bool]
     on_y: bool
     rhs: Callable
     citation: str
@@ -237,7 +237,7 @@ def lemma_spectra(m, perm=None):
 
 def _lemma_rows(q: float, reordered: bool) -> list[Lemma]:
     # the rows that lemma_columns evaluates at a checked order q
-    return [row for row in LEMMA_ROWS if row.applies(q, False) and (reordered or not row.on_y)]
+    return [row for row in LEMMA_ROWS if row.applies(q) and (reordered or not row.on_y)]
 
 
 def lemma_columns(sx, sy, q):
@@ -316,17 +316,13 @@ def receiver_upper_value(lam, n_dim: int, q):
     return float(value) if lam_in.ndim == 0 else value
 
 
-def _any_order(q: float, interval: bool) -> bool:
+def _any_order(q: float) -> bool:
     return True
 
 
-def _near_one(q: float, interval: bool) -> bool:
+def _near_one(q: float) -> bool:
     # the Shannon window of the Rényi formula
     return abs(q - 1.0) < Q_ONE_WINDOW
-
-
-def _interval(q: float, interval: bool) -> bool:
-    return interval and q >= 1.0
 
 
 @dataclass(frozen=True)
@@ -334,21 +330,21 @@ class Bound:
     """One row of the bound table: ``lhs relation rhs`` for each channel of a
     stack at Rényi order ``q``.
 
-    ``applies(q, interval)`` says whether the row is defined at order ``q``
-    for a stack of interval maps (or of any maps); ``lhs`` and ``rhs`` map
-    ``(stack, q)`` to one value per channel (or a constant).
-    ``separable`` marks the criteria that every entanglement-breaking
-    channel satisfies, which feed the region classifier rather than the
-    bound report.
+    ``applies(q)`` says whether the row is defined at order ``q``; ``lhs`` and
+    ``rhs`` map ``(stack, q)`` to one value per channel (or a constant).
+    ``separable`` marks the criteria that every entanglement-breaking channel
+    satisfies, which feed the region classifier rather than the bound report;
+    ``interval`` the rows that hold on interval stacks only.
     """
 
     id: str
     relation: str
-    applies: Callable[[float, bool], bool]
+    applies: Callable[[float], bool]
     lhs: Callable[[ChannelStack, float], np.ndarray]
     rhs: Callable[[ChannelStack, float], np.ndarray]
     citation: str
     separable: bool = False
+    interval: bool = False
 
 
 def _s_map(s: ChannelStack, q) -> np.ndarray:
@@ -436,16 +432,18 @@ TABLE: tuple[Bound, ...] = (
         "S_q_map >= F_min ln(N/L) + G_min S_q_rec",
     ),
     Bound(
-        "interval_receiver_upper", "<=", _interval,
+        "interval_receiver_upper", "<=", _from_one,
         lambda s, q: _s_rec(s, 1.0),
         lambda s, q: np.log(s.dim),
         "S_rec <= ln N (segment image)",
+        interval=True,
     ),
     Bound(
-        "interval_map_lower", ">=", _interval,
+        "interval_map_lower", ">=", _from_one,
         lambda s, q: _s_map(s, 1.0),
         lambda s, q: np.log(s.dim),
         "S_map >= ln N (block Choi structure)",
+        interval=True,
     ),
     Bound(
         "map_output_lower", ">=", _near_one, _s_map,
@@ -485,9 +483,9 @@ TABLE: tuple[Bound, ...] = (
 
 
 def applicable_bounds(q, interval: bool = False) -> list[Bound]:
-    """Table rows of the bound report at order ``q``, sorted by id."""
+    """Table rows of the bound report at order ``q``, interval rows with ``interval``, by id."""
     q = renyi_order(q, minimum=1.0)
-    rows = [b for b in TABLE if not b.separable and b.applies(q, interval)]
+    rows = [b for b in TABLE if not b.separable and b.applies(q) and b.interval <= interval]
     return sorted(rows, key=lambda b: b.id)
 
 
@@ -548,11 +546,11 @@ def record(ch: Channel, bound_id: str, q) -> BoundRecord:
 
     A row that raises gives its ``<id>_error`` record.  Raises ``KeyError``
     for an unknown id and ``ValueError`` when the row does not apply to ``ch``
-    at ``q``; the interval rows apply only to a channel built as an interval map.
+    at ``q``; the interval rows apply only to a row of an interval stack.
     """
     q = renyi_order(q)
     bound = {b.id: b for b in TABLE}[bound_id]
-    if not bound.applies(q, bool(ch.meta.get("interval"))):
+    if not bound.applies(q) or bound.interval > ch.stack.interval:
         raise ValueError(f"bound {bound_id} does not apply at q = {q}")
     return table_records([bound], table_columns(ch.stack, q, [bound]))[0]
 
@@ -616,11 +614,11 @@ def evaluate_all(ch: Channel, q) -> BoundReport:
     Individual failures (e.g. undefined quantities on a permissively built
     map) become ``<id>_error`` records, and failing aggregates
     ``<key>_error`` messages, instead of aborting the report.
-    The interval-specific checks run only when the channel was constructed
-    as an interval map.  Records are sorted by id.
+    The interval-specific checks run only on a row of an interval stack.
+    Records are sorted by id.
     """
     q = renyi_order(q, minimum=1.0)
-    table = applicable_bounds(q, bool(ch.meta.get("interval")))
+    table = applicable_bounds(q, ch.stack.interval)
     records = sorted(table_records(table, table_columns(ch.stack, q, table)), key=lambda r: r.id)
 
     aggregates = {"f_min": f_min(q), "f_max": f_max(q), "g_min": g_min(q)}

@@ -85,6 +85,8 @@ class ChannelStack:
     as channel ``index[i]`` (by default its position ``i``).  Arrays are
     read-only after construction; ``entropy_cache`` holds the normalized
     spectra and Rényi entropies that :mod:`qchan.entropy` derives from them.
+    ``interval=True`` marks interval maps, N = 2 maps whose superoperator
+    columns 1 and 2 (the images of ``|0><1|`` and ``|1><0|``) are zero.
     """
 
     # Arrays set at validation time, one entry per map; shared by channel().
@@ -101,11 +103,13 @@ class ChannelStack:
         "singular_values",
         "output_eigenvalues",
     )
-    __slots__ = _VALIDATED + ("dim", "entropy_cache")
+    __slots__ = _VALIDATED + ("dim", "interval", "entropy_cache")
 
-    def __init__(self, superop, dim: int | None, *, require_cptp=True, index=None):
+    def __init__(self, superop, dim: int | None, *, require_cptp=True, index=None, interval=False):
         superop = as_complex_matrix(np.array(superop, dtype=complex), stack=True)
         n = _square_side(superop, dim)
+        if interval and (n != 2 or superop[:, :, 1:3].any()):
+            raise ValueError("interval maps are qubit maps with zero superoperator columns 1, 2")
         b = superop.shape[0]
         choi = reshuffle(superop, n)
         sym, hermitian, herm_dev, choi_scale = hermitian_part(choi)
@@ -146,6 +150,7 @@ class ChannelStack:
             raise ValidationError(where + "; ".join(parts))
 
         self.dim = n
+        self.interval = interval
         self.superop = superop
         self.choi = choi
         self.hermitian = hermitian
@@ -165,7 +170,7 @@ class ChannelStack:
             getattr(self, name).setflags(write=False)
         self.entropy_cache = {}
 
-    def channel(self, i: int = 0, *, label=None, meta=None) -> "Channel":
+    def channel(self, i: int = 0, *, label=None) -> "Channel":
         """A :class:`Channel` over map ``i``, which is not validated again.
 
         It shares this stack's validated arrays and spectra, and computes
@@ -173,12 +178,12 @@ class ChannelStack:
         """
         i = range(len(self))[i]
         row = ChannelStack.__new__(ChannelStack)
-        row.dim = self.dim
+        row.dim, row.interval = self.dim, self.interval
         for name in self._VALIDATED:
             setattr(row, name, getattr(self, name)[i : i + 1])
         row._freeze()
         ch = Channel.__new__(Channel)
-        ch._set(row, label, meta)
+        ch._set(row, label)
         return ch
 
     def __len__(self) -> int:
@@ -236,21 +241,17 @@ class Channel:
         represented for negative controls.
     label : str, optional
         Free-form name used in reports and CSV rows.
-    meta : dict, optional
-        Extra structured facts about the construction (e.g. family
-        parameters).  Stored as-is.
     """
 
-    __slots__ = ("stack", "label", "meta", "_kraus")
+    __slots__ = ("stack", "label", "_kraus")
 
-    def __init__(self, superop, dim=None, *, require_cptp=True, label=None, meta=None):
+    def __init__(self, superop, dim=None, *, require_cptp=True, label=None):
         superop = as_complex_matrix(superop)
-        self._set(ChannelStack(superop[None], dim, require_cptp=require_cptp), label, meta)
+        self._set(ChannelStack(superop[None], dim, require_cptp=require_cptp), label)
 
-    def _set(self, stack: ChannelStack, label, meta) -> None:
+    def _set(self, stack: ChannelStack, label) -> None:
         self.stack = stack
         self.label = label
-        self.meta = dict(meta) if meta else {}
         self._kraus = None
 
     # -- data: each property reads this channel's entry of its stack -----
@@ -324,25 +325,25 @@ def _check_kraus(ops) -> tuple[np.ndarray, int, int]:
     return v, n, len(mats)
 
 
-def from_kraus(ops, *, label=None, meta=None) -> Channel:
+def from_kraus(ops, *, label=None) -> Channel:
     """Build a channel from Kraus operators ``{A_i}`` through their stacked
     isometry; the superoperator is ``sum_i kron(A_i, conj(A_i))``."""
     v, n, k = _check_kraus(ops)
-    return Channel(_stinespring_superops(v[None], n, k)[0], n, label=label, meta=meta)
+    return Channel(_stinespring_superops(v[None], n, k)[0], n, label=label)
 
 
-def from_superoperator(m, dim=None, *, permissive=False, label=None, meta=None) -> Channel:
+def from_superoperator(m, dim=None, *, permissive=False, label=None) -> Channel:
     """Build a channel from its superoperator matrix.
 
     With ``permissive=True`` the CP/TP checks are recorded in the flags
     instead of raised, which lets tests represent arbitrary linear maps.
     """
-    return Channel(m, dim, require_cptp=not permissive, label=label, meta=meta)
+    return Channel(m, dim, require_cptp=not permissive, label=label)
 
 
-def from_choi(d, dim=None, *, permissive=False, label=None, meta=None) -> Channel:
+def from_choi(d, dim=None, *, permissive=False, label=None) -> Channel:
     """Build a channel from its dynamical (Choi) matrix ``D = N * omega``."""
-    return Channel(reshuffle(d, dim), dim, require_cptp=not permissive, label=label, meta=meta)
+    return Channel(reshuffle(d, dim), dim, require_cptp=not permissive, label=label)
 
 
 def choi_to_kraus(choi, dim: int | None = None) -> list[np.ndarray]:
@@ -373,7 +374,7 @@ def choi_to_kraus(choi, dim: int | None = None) -> list[np.ndarray]:
     return ops
 
 
-def from_environment(u, dim: int, env_dim: int, *, label=None, meta=None) -> Channel:
+def from_environment(u, dim: int, env_dim: int, *, label=None) -> Channel:
     """Channel from a unitary on system x environment with the environment
     prepared in the first basis state and traced out afterwards.
 
@@ -386,10 +387,10 @@ def from_environment(u, dim: int, env_dim: int, *, label=None, meta=None) -> Cha
             f"expected a {dim * env_dim}x{dim * env_dim} unitary, got {u.shape}"
         )
     _check_isometry(u, "matrix")
-    return from_isometry(u[:, ::env_dim], dim, env_dim, label=label, meta=meta)
+    return from_isometry(u[:, ::env_dim], dim, env_dim, label=label)
 
 
-def from_isometry(v, dim: int, env_dim: int, *, label=None, meta=None) -> Channel:
+def from_isometry(v, dim: int, env_dim: int, *, label=None) -> Channel:
     """Channel from a Stinespring isometry ``V`` from the system into
     system x environment, with the environment traced out afterwards.
 
@@ -400,7 +401,7 @@ def from_isometry(v, dim: int, env_dim: int, *, label=None, meta=None) -> Channe
     if v.shape != (dim * env_dim, dim):
         raise ValueError(f"expected a {dim * env_dim}x{dim} isometry, got {v.shape}")
     superop = isometry_superops(v[None], dim, env_dim)[0]
-    return Channel(superop, dim, label=label, meta=meta)
+    return Channel(superop, dim, label=label)
 
 
 def _check_isometry(v: np.ndarray, what: str, *, index=None) -> None:

@@ -177,8 +177,19 @@ def load_channel_spec(doc) -> Channel:
     "matrices": [...], "family": {"name": ..., "params": {...}}}``.
     Complex entries are ``[re, im]`` pairs, matrices row-major.  The built
     channel's dimension must equal a declared ``dim`` and lie in
-    ``DIM_LIMITS``.
+    ``DIM_LIMITS``; entries whose arithmetic overflows raise ``ValueError``.
     """
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            ch = _spec_channel(doc)
+        except FloatingPointError as exc:
+            raise ValueError(f"channel spec is out of floating-point range: {exc}") from None
+    _check_range(ch.dim, "dim")
+    return ch
+
+
+def _spec_channel(doc) -> Channel:
+    # load_channel_spec before its range and overflow checks
     if not isinstance(doc, dict):
         raise ValueError("channel spec must be a JSON object")
     form = doc.get("form")
@@ -199,6 +210,12 @@ def load_channel_spec(doc) -> Channel:
         mats = doc.get("matrices")
         if not isinstance(mats, list) or not mats:
             raise ValueError(f'form {form!r} needs a non-empty "matrices" list')
+        # the channel costs N^6 to build, so N is checked before building
+        if form == "kraus":
+            _check_range(len(mats), "number of Kraus operators", SIZE_LIMITS)
+        for m in mats:
+            if isinstance(m, list) and m:
+                _check_range(len(m) if form == "kraus" else math.isqrt(len(m)), "dim")
         parsed = [_parse_matrix(m, f"matrices[{i}]") for i, m in enumerate(mats)]
         declared = _number(doc["dim"], "dim", integer=True) if "dim" in doc else None
         if form == "kraus":
@@ -214,7 +231,6 @@ def load_channel_spec(doc) -> Channel:
         )
     if declared is not None and ch.dim != declared:
         raise ValueError(f"declared dim {declared} but the channel has dim {ch.dim}")
-    _check_range(ch.dim, "dim")
     return ch
 
 

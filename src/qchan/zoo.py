@@ -220,13 +220,13 @@ def interval_channel(alpha: float, beta: float, phi1: float = 0.0, phi2: float =
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
     params = np.array([[alpha, beta, phi1, phi2]], dtype=float)
-    return _single(_pure_interval_stack(params), meta={"interval": True})
+    return _single(_pure_interval_stack(params))
 
 
 def interval_channel_general(rho1, rho2, *, label=None) -> Channel:
     """Interval map with arbitrary (possibly mixed) endpoint states."""
     stack = _interval_stack(check_state(rho1, 2)[None], check_state(rho2, 2)[None])
-    return stack.channel(label=label or "interval(general)", meta={"interval": True})
+    return stack.channel(label=label or "interval(general)")
 
 
 def _pure_interval_states(weight: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -245,7 +245,7 @@ def _interval_stack(rho1: np.ndarray, rho2: np.ndarray, index=None) -> ChannelSt
     superops = np.zeros((len(rho1), 4, 4), dtype=complex)
     superops[:, :, 0] = rho1.reshape(-1, 4)
     superops[:, :, 3] = rho2.reshape(-1, 4)
-    return ChannelStack(superops, 2, index=index)
+    return ChannelStack(superops, 2, index=index, interval=True)
 
 
 def _pure_interval_stack(params: np.ndarray, index=None):
@@ -347,10 +347,10 @@ def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _single(sampled, label=None, meta=None) -> Channel:
+def _single(sampled, label=None) -> Channel:
     """The channel of a one-row ``(stack, labels)`` sample."""
     stack, labels = sampled
-    return stack.channel(label=label or labels[0], meta=meta)
+    return stack.channel(label=label or labels[0])
 
 
 def random_cptp(dim: int, env_dim: int, rng: np.random.Generator, *, label=None) -> Channel:
@@ -429,13 +429,9 @@ def _pauli_stack(p: np.ndarray, index=None):
     return ChannelStack(superops, 2, index=index), labels
 
 
-def random_interval_channel(rng: np.random.Generator, *, pure: bool = True) -> Channel:
-    """Random interval map; ``pure=False`` draws mixed endpoint states."""
-    if pure:
-        return _single(random_interval_stack([rng]), meta={"interval": True})
-    return interval_channel_general(
-        random_density(2, rng), random_density(2, rng), label="interval(random mixed)"
-    )
+def random_interval_channel(rng: np.random.Generator) -> Channel:
+    """Random interval map with pure endpoint states."""
+    return _single(random_interval_stack([rng]))
 
 
 def random_interval_stack(rngs, *, index=None):

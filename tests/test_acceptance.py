@@ -31,7 +31,9 @@ from qchan.zoo import (
     depolarizing_curve_point,
     haar_unitary,
     identity_channel,
+    interval_channel_general,
     maximally_depolarizing,
+    random_density,
     random_interval_channel,
     random_pure_state,
     random_reshuffle_invariant,
@@ -216,7 +218,11 @@ def test_criterion_08_reordering_lemmas():
 def test_criterion_09_interval_channels():
     worst = math.inf
     for i in range(100):
-        ch = random_interval_channel(rng_substream(91, i), pure=(i % 2 == 0))
+        rng = rng_substream(91, i)
+        if i % 2 == 0:
+            ch = random_interval_channel(rng)
+        else:  # mixed endpoint states
+            ch = interval_channel_general(random_density(2, rng), random_density(2, rng))
         for rid in ("interval_receiver_upper", "interval_map_lower"):
             worst = min(worst, record(ch, rid, 1.0).slack)
     _verdict(9, f"segment-image channels: S_rec <= ln2 <= S_map (worst slack {worst:.2e})", worst >= -1e-9)

@@ -228,7 +228,7 @@ def test_stack_samplers_equal_their_per_channel_samplers(name):
         assert np.array_equal(stack.choi_eigenvalues[i], ch.choi_eigenvalues)
         assert np.array_equal(stack.singular_values[i], ch.singular_values)
         assert labels[i] == ch.label
-        assert ch.meta == ({"interval": True} if name == "random_interval" else {})
+        assert ch.stack.interval == stack.interval == (name == "random_interval")
 
     # A planted non-TP row is named by its index; depolarizing_stack takes
     # no index, so it names the position.
@@ -321,9 +321,9 @@ def test_stack_rows_are_channels_that_share_its_spectra():
     stack, labels = random_cptp_stack(2, [2, 4, 1], [rng_substream(77, i) for i in range(3)])
     entropy.entropy_columns(stack, 2.0)
     with mock.patch.object(ChannelStack, "__init__", side_effect=AssertionError("validated")):
-        rows = [stack.channel(i, label=labels[i], meta={"row": i}) for i in range(3)]
+        rows = [stack.channel(i, label=labels[i]) for i in range(3)]
     for i, ch in enumerate(rows):
-        assert ch.label == labels[i] and ch.meta == {"row": i} and len(ch.stack) == 1
+        assert ch.label == labels[i] and not ch.stack.interval and len(ch.stack) == 1
         for name in ChannelStack._VALIDATED:
             assert not getattr(ch.stack, name).flags.writeable, name
         with mock.patch("qchan.channels.np.linalg", wraps=np.linalg) as linalg:
@@ -338,9 +338,58 @@ def test_stack_rows_are_channels_that_share_its_spectra():
         assert ch.cp and ch.tp and ch.choi_psd_tol == fresh.choi_psd_tol
         assert entropy.entropy_point(ch, 2.0) == entropy.entropy_point(fresh, 2.0)
     assert np.array_equal(stack.channel(-1).superop, rows[2].superop)
-    assert stack.channel().label is None and stack.channel().meta == {}
+    assert stack.channel().label is None
     with pytest.raises(IndexError):
         stack.channel(3)
+
+
+@pytest.mark.parametrize("q", (1.0, 1.5, 2.0, math.inf))
+def test_interval_stack_rows_report_as_their_channels(q):
+    # a row view of an interval stack gets the interval rows of the report
+    stack, _ = zoo.random_interval_stack(zoo.rng_substreams(79, range(20)))
+    params = zoo.rng_stream(80).uniform(size=(20, 4)) * [1.0, 1.0, 2 * math.pi, 2 * math.pi]
+    for i in range(20):
+        ch = zoo.interval_channel(*params[i])
+        pairs = (
+            (stack.channel(i), zoo.random_interval_channel(rng_substream(79, i))),
+            (ch.stack.channel(label="x"), ch),
+        )
+        for row, single in pairs:
+            got, want = (bounds.evaluate_all(c, q).records for c in (row, single))
+            assert [r.id for r in got] == bounds.applicable_bound_ids(q, include_interval=True)
+            assert repr(got) == repr(want)  # bit for bit
+
+
+def test_interval_stacks_are_checked():
+    superops = np.array([zoo.interval_channel(0.3, 0.8, 0.5, 1.7).superop] * 3)
+    assert ChannelStack(superops, 2, interval=True).interval
+    assert not ChannelStack(superops, 2).interval
+    superops[1, 2, 1] = 1e-300  # in the column of |0><1|
+    with pytest.raises(ValueError, match="interval"):
+        ChannelStack(superops, 2, interval=True)
+    # N = 3 coarse graining has zero superoperator columns 1 and 2 as well
+    with pytest.raises(ValueError, match="interval"):
+        ChannelStack(zoo.coarse_graining(3).superop[None], 3, interval=True)
+
+    rng = zoo.rng_stream(81)
+    pure = zoo.random_interval_stack(zoo.rng_substreams(81, range(50)))[0]
+    mixed = np.array([[zoo.random_density(2, rng) for _ in range(2)] for _ in range(50)])
+    corners = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2) / 2], dtype=complex)
+    ends = [(a, b) for a in corners for b in corners]
+    for stack in (
+        pure,
+        zoo._interval_stack(mixed[:, 0], mixed[:, 1]),
+        zoo._interval_stack(*map(np.array, zip(*ends))),
+        zoo.interval_channel(1.0, 0.0).stack,
+        zoo.interval_channel_general(corners[2], corners[0]).stack,
+    ):
+        assert stack.interval and all(stack.channel(i).stack.interval for i in range(len(stack)))
+
+
+@pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
+def test_scan_samples_an_interval_stack_exactly_when_its_header_has_interval_rows(ensemble):
+    stack, _ = cli._sample_chunk(ensemble, 2, 5, range(4), 4)
+    assert stack.interval == (ensemble == "random_interval")
 
 
 def test_a_stack_takes_its_spectra_once_and_only_once_it_is_valid():

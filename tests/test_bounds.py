@@ -32,6 +32,7 @@ from qchan.zoo import (
     depolarizing,
     identity_channel,
     interval_channel,
+    interval_channel_general,
     maximally_depolarizing,
     random_bistochastic,
     random_bistochastic_stack,
@@ -263,8 +264,8 @@ def test_the_self_and_cross_rows_are_the_lemma_rows(n, q):
     rngs = rng_substreams(68 + n, range(16))
     cptp, _ = random_cptp_stack(n, [1 + i % (n * n) for i in range(8)], rngs[:8])
     bistochastic, _ = random_bistochastic_stack(n, [1 + i % 3 for i in range(8)], rngs[8:])
-    table = [b for b in TABLE if b.id in CHANNEL_LEMMAS and b.applies(q, False)]
-    rows = [row for row in bounds.LEMMA_ROWS if row.applies(q, False)]
+    table = [b for b in TABLE if b.id in CHANNEL_LEMMAS and b.applies(q)]
+    rows = [row for row in bounds.LEMMA_ROWS if row.applies(q)]
     lemma_ids = [row.id for row in rows]
     assert [b.id for b in table] == list(CHANNEL_LEMMAS)[: 2 * len(rows)]
     for stack in (cptp, bistochastic):
@@ -561,7 +562,7 @@ def _report_records(i, q):
 @pytest.mark.parametrize("bound", TABLE, ids=lambda b: b.id)
 def test_record_matches_the_report_and_the_row_predicate(bound, q):
     for i, ch in enumerate(_table_channels()):
-        if not bound.applies(q, bool(ch.meta.get("interval"))):
+        if not (bound.applies(q) and ch.stack.interval >= bound.interval):
             with pytest.raises(ValueError, match=bound.id):
                 record(ch, bound.id, q)
             continue
@@ -588,6 +589,7 @@ def test_record_rejects_an_interval_row_on_a_channel_that_is_no_interval_map():
 
 @functools.lru_cache(maxsize=None)
 def _record_channels():
+    rng = rng_substream(67, 3)  # the mixed endpoint states of the last channel
     return (
         identity_channel(2),
         depolarizing(3, 0.4),
@@ -597,7 +599,9 @@ def _record_channels():
         random_bistochastic(3, 2, rng_substream(67, 1)),
         random_pauli_channel(rng_substream(67, 2)),
         interval_channel(0.4, 0.9, 0.3, 2.0),
-        random_interval_channel(rng_substream(67, 3), pure=False),
+        interval_channel_general(
+            random_density(2, rng), random_density(2, rng), label="interval(random mixed)"
+        ),
     )
 
 

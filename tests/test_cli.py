@@ -312,6 +312,48 @@ def test_analyze_accepts_a_family_that_sets_its_own_dim(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["dim"] == 3
 
 
+@pytest.mark.parametrize(
+    "doc,builder,message",
+    [
+        ({"form": "kraus", "matrices": [np.eye(12).tolist()]}, "from_kraus",
+         "dim must be in [2, 8], got 12"),
+        ({"form": "superoperator", "matrices": [np.eye(144).tolist()]}, "from_superoperator",
+         "dim must be in [2, 8], got 12"),
+        ({"form": "kraus", "matrices": [np.eye(2).tolist()] * 1025}, "from_kraus",
+         "number of Kraus operators must be in [1, 1024], got 1025"),
+    ],
+    ids=["kraus_12", "superop_144", "kraus_count_1025"],
+)
+def test_analyze_checks_sizes_before_it_builds(tmp_path, capsys, monkeypatch, doc, builder,
+                                                message):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{builder} was called")
+
+    monkeypatch.setattr(cli, builder, never)
+    assert main(["analyze", "--spec", _write_spec(tmp_path, "spec.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        *({"form": form, "matrices": [(1e300 * np.eye(side)).tolist()]}
+          for form, side in (("superoperator", 4), ("choi", 4), ("kraus", 2))),
+        {"form": "family", "family": {"name": "complete_contraction",
+                                      "params": {"xi": (1e300 * np.eye(2)).tolist()}}},
+    ],
+    ids=["superoperator", "choi", "kraus", "contraction_xi"],
+)
+def test_analyze_rejects_entries_that_overflow_in_one_line(tmp_path, capsys, doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        assert main(["analyze", "--spec", _write_spec(tmp_path, "spec.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflow" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # scan
 

@@ -17,6 +17,7 @@ from qchan.zoo import (
     haar_unitary,
     identity_channel,
     interval_channel,
+    interval_channel_general,
     maximally_depolarizing,
     pauli_channel,
     random_bistochastic,
@@ -154,7 +155,7 @@ def test_interval_superop_columns_are_endpoint_states():
         assert np.allclose(rho, rho.conj().T, atol=1e-14)
         assert np.allclose(rho @ rho, rho, atol=1e-14)  # pure endpoint
         assert abs(rho[0, 0] - weight) < 1e-14
-    assert ch.meta.get("interval") is True
+    assert ch.stack.interval
 
 
 def test_interval_degenerate_endpoints_is_coarse_graining():
@@ -169,9 +170,10 @@ def test_interval_map_entropy_is_ln2_for_pure_endpoints():
             assert abs(map_entropy(ch, q) - LN2) < 1e-12
 
 
-def test_interval_mixed_endpoints_keep_meta():
-    ch = random_interval_channel(rng_stream(45), pure=False)
-    assert ch.meta.get("interval") is True
+def test_interval_mixed_endpoints_keep_the_interval_flag():
+    rng = rng_stream(45)
+    ch = interval_channel_general(random_density(2, rng), random_density(2, rng))
+    assert ch.stack.interval
     assert ch.cp and ch.tp
 
 
