@@ -334,7 +334,7 @@ class Bound:
     ``rhs`` map ``(stack, q)`` to one value per channel (or a constant).
     ``separable`` marks the criteria that every entanglement-breaking channel
     satisfies, which feed the region classifier rather than the bound report;
-    ``interval`` the rows that hold on interval stacks only.
+    ``interval`` the rows that hold on interval maps only.
     """
 
     id: str
@@ -546,11 +546,11 @@ def record(ch: Channel, bound_id: str, q) -> BoundRecord:
 
     A row that raises gives its ``<id>_error`` record.  Raises ``KeyError``
     for an unknown id and ``ValueError`` when the row does not apply to ``ch``
-    at ``q``; the interval rows apply only to a row of an interval stack.
+    at ``q``; the interval rows apply only to an interval map (``ch.interval``).
     """
     q = renyi_order(q)
     bound = {b.id: b for b in TABLE}[bound_id]
-    if not bound.applies(q) or bound.interval > ch.stack.interval:
+    if not bound.applies(q) or bound.interval > ch.interval:
         raise ValueError(f"bound {bound_id} does not apply at q = {q}")
     return table_records([bound], table_columns(ch.stack, q, [bound]))[0]
 
@@ -614,11 +614,11 @@ def evaluate_all(ch: Channel, q) -> BoundReport:
     Individual failures (e.g. undefined quantities on a permissively built
     map) become ``<id>_error`` records, and failing aggregates
     ``<key>_error`` messages, instead of aborting the report.
-    The interval-specific checks run only on a row of an interval stack.
+    The interval-specific checks run only on an interval map (``ch.interval``).
     Records are sorted by id.
     """
     q = renyi_order(q, minimum=1.0)
-    table = applicable_bounds(q, ch.stack.interval)
+    table = applicable_bounds(q, ch.interval)
     records = sorted(table_records(table, table_columns(ch.stack, q, table)), key=lambda r: r.id)
 
     aggregates = {"f_min": f_min(q), "f_max": f_max(q), "g_min": g_min(q)}

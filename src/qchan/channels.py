@@ -73,8 +73,8 @@ class ChannelStack:
     ``superop`` is a ``(B, N^2, N^2)`` stack of superoperators, and ``dim``
     is N (``None`` infers it from the matrix size).  Construction
     forms the Choi matrices, checks that they are Hermitian, takes their
-    eigenvalues with one batched ``eigvalsh``, and sets the CP, TP and unital
-    flags and ``Phi(1/N)`` for every map at once.  Once the CP/TP checks
+    eigenvalues with one batched ``eigvalsh``, and sets the CP, TP, unital and
+    interval flags and ``Phi(1/N)`` for every map at once.  Once the CP/TP checks
     pass it takes ``singular_values``, those of each superoperator, and
     ``output_eigenvalues``, those of each ``Phi(1/N)``, with one batched call
     each; both are descending, of shapes ``(B, N^2)`` and ``(B, N)``.  A
@@ -85,8 +85,8 @@ class ChannelStack:
     as channel ``index[i]`` (by default its position ``i``).  Arrays are
     read-only after construction; ``entropy_cache`` holds the normalized
     spectra and Rényi entropies that :mod:`qchan.entropy` derives from them.
-    ``interval=True`` marks interval maps, N = 2 maps whose superoperator
-    columns 1 and 2 (the images of ``|0><1|`` and ``|1><0|``) are zero.
+    ``interval`` marks the N = 2 maps whose superoperator columns 1 and 2 (the
+    images of ``|0><1|`` and ``|1><0|``) are exactly zero: segment images.
     """
 
     # Arrays set at validation time, one entry per map; shared by channel().
@@ -99,17 +99,16 @@ class ChannelStack:
         "cp",
         "tp",
         "unital",
+        "interval",
         "output_state",
         "singular_values",
         "output_eigenvalues",
     )
-    __slots__ = _VALIDATED + ("dim", "interval", "entropy_cache")
+    __slots__ = _VALIDATED + ("dim", "entropy_cache")
 
-    def __init__(self, superop, dim: int | None, *, require_cptp=True, index=None, interval=False):
+    def __init__(self, superop, dim: int | None, *, require_cptp=True, index=None):
         superop = as_complex_matrix(np.array(superop, dtype=complex), stack=True)
         n = _square_side(superop, dim)
-        if interval and (n != 2 or superop[:, :, 1:3].any()):
-            raise ValueError("interval maps are qubit maps with zero superoperator columns 1, 2")
         b = superop.shape[0]
         choi = reshuffle(superop, n)
         sym, hermitian, herm_dev, choi_scale = hermitian_part(choi)
@@ -150,7 +149,7 @@ class ChannelStack:
             raise ValidationError(where + "; ".join(parts))
 
         self.dim = n
-        self.interval = interval
+        self.interval = (n == 2) & ~superop[:, :, 1:3].any(axis=(1, 2))
         self.superop = superop
         self.choi = choi
         self.hermitian = hermitian
@@ -178,7 +177,7 @@ class ChannelStack:
         """
         i = range(len(self))[i]
         row = ChannelStack.__new__(ChannelStack)
-        row.dim, row.interval = self.dim, self.interval
+        row.dim = self.dim
         for name in self._VALIDATED:
             setattr(row, name, getattr(self, name)[i : i + 1])
         row._freeze()
@@ -225,7 +224,7 @@ class Channel:
     The Choi matrix and its eigenvalues (which drive the CP/TP validation),
     the singular values and the eigenvalues of the image of the maximally
     mixed state are computed at construction; the canonical Kraus set is
-    derived on first access and cached.  Instances are immutable after
+    derived afresh on each access.  Instances are immutable after
     ``__init__``: the stored arrays are marked read-only.
 
     Parameters
@@ -243,7 +242,7 @@ class Channel:
         Free-form name used in reports and CSV rows.
     """
 
-    __slots__ = ("stack", "label", "_kraus")
+    __slots__ = ("stack", "label")
 
     def __init__(self, superop, dim=None, *, require_cptp=True, label=None):
         superop = as_complex_matrix(superop)
@@ -252,7 +251,6 @@ class Channel:
     def _set(self, stack: ChannelStack, label) -> None:
         self.stack = stack
         self.label = label
-        self._kraus = None
 
     # -- data: each property reads this channel's entry of its stack -----
 
@@ -271,7 +269,9 @@ class Channel:
     choi_psd_tol = _stack_entry(
         "choi_psd_tol", float, "Negativity allowed in a Choi eigenvalue, ``PSD_RTOL * |D|_2``."
     )
-    cp, tp, unital = (_stack_entry(name, bool) for name in ("cp", "tp", "unital"))
+    cp, tp, unital, interval = (
+        _stack_entry(name, bool) for name in ("cp", "tp", "unital", "interval")
+    )
     singular_values = _stack_entry(
         "singular_values", doc="Singular values of the superoperator, descending."
     )
@@ -290,10 +290,8 @@ class Channel:
 
     @property
     def kraus(self) -> list[np.ndarray]:
-        """Canonical Kraus set from the Choi eigendecomposition (cached)."""
-        if self._kraus is None:
-            self._kraus = choi_to_kraus(self.choi, dim=self.dim)
-        return self._kraus
+        """Canonical Kraus set from the Choi eigendecomposition, a new list each time."""
+        return choi_to_kraus(self.choi, dim=self.dim)
 
     # -- actions ----------------------------------------------------------
 

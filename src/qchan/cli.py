@@ -339,8 +339,8 @@ def _chunk_rows(dim: int) -> int:
 
 
 def _sample_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int):
-    """Validated stack and labels of the scan rows ``indices``; every row of
-    an ensemble that draws gets its own substream."""
+    """Validated stack and labels of the scan (or verify) rows ``indices``;
+    every row of an ensemble that draws gets its own substream."""
     if ensemble == "depolarizing":
         return zoo.depolarizing_stack(dim, [i / (n - 1) if n > 1 else 0.0 for i in indices])
     rngs = zoo.rng_substreams(seed, indices)
@@ -463,13 +463,13 @@ def cmd_curve(args) -> int:
 
 
 def _check(name: str, slacks, reproducer, tol=0.0) -> str:
-    """Verify line of check ``name``, given the slack of every instance in C order.
+    """Verify line of check ``name``, given an array of slacks, one per instance.
 
     An instance passes when its slack is at least ``-tol`` (``tol``
     broadcasts against ``slacks``), so a nan slack fails and makes the worst
-    slack nan.  ``reproducer(k)`` names instance ``k`` and is called for the
-    first failing instance only.  A check that ran no instance has shown
-    nothing, so it fails.
+    slack nan.  ``reproducer(*index)`` names the instance ``slacks[index]``;
+    it is called once, for the first failing instance in C order.  A check
+    that ran no instance has shown nothing, so it fails.
     """
     slacks = np.asarray(slacks, dtype=float)
     if not slacks.size:
@@ -478,7 +478,7 @@ def _check(name: str, slacks, reproducer, tol=0.0) -> str:
     worst = f"checks={slacks.size} worst_slack={slacks.min():.6e}"
     if not bad.size:
         return f"PASS {name} {worst}"
-    return f"FAIL {name} {worst} reproducer={reproducer(int(bad[0]))}"
+    return f"FAIL {name} {worst} reproducer={reproducer(*np.unravel_index(bad[0], slacks.shape))}"
 
 
 def _mixed_qubit_stacks(seed: int, n: int) -> list[tuple[ChannelStack, list[int]]]:
@@ -519,16 +519,14 @@ def _verify_bounds(n: int, seed: int, qubits) -> list[str]:
         slack[idx] = np.hstack([part[2] for part in parts])
         errors[idx] = np.hstack([part[3] for part in parts])
 
-    def report_case(k: int) -> str:
-        i, j = divmod(k, len(columns))
+    def report_case(i: int, j: int) -> str:
         q, rid = columns[j]
         suffix = "" if errors[i, j] is None else "_error"
         return f"seed={seed},index={i},q={q},id={rid}{suffix}"
 
     lines = [_check("bounds.report_all_orders", slack, report_case, bounds.CHECK_TOL)]
 
-    rngs = zoo.rng_substreams(seed, range(10_000, 10_000 + n))
-    stack, _ = zoo.random_bistochastic_stack(2, [i % 4 + 1 for i in range(n)], rngs)
+    stack, _ = _sample_chunk("random_bistochastic", 2, seed, range(10_000, 10_000 + n), n)
     sums = [
         entropy.entropies(stack, "map", q) + entropy.entropies(stack, "receiver", q)
         for q in (1.0, 2.0)
@@ -536,8 +534,7 @@ def _verify_bounds(n: int, seed: int, qubits) -> list[str]:
     floor_slack = [1e-9 - np.abs(stack.sigma1 - 1.0)]
     floor_slack += [total - bounds.f_min(q) * math.log(2.0) for q, total in zip((1.0, 2.0), sums)]
 
-    def floor_case(k: int) -> str:
-        i, c = divmod(k, 3)
+    def floor_case(i: int, c: int) -> str:
         if c == 0:
             return f"seed={seed},index={i},sigma1={stack.sigma1[i]:.12g}"
         return f"seed={seed},index={i},q={(1.0, 2.0)[c - 1]},sum={sums[c - 1][i]:.12g}"
@@ -588,8 +585,7 @@ def _verify_lemmas(n: int, seed: int, qubits) -> list[str]:
             ]
             slack[idx, a] = bounds.lemma_columns(sx, sy, q)[2]
 
-    def interp_case(k: int) -> str:
-        i, a = np.unravel_index(k, interp.shape)
+    def interp_case(i: int, a: int) -> str:
         return f"seed={seed},index={i},q={orders[a]}"
 
     def lemma_check(name: str, on_y: bool) -> str:
@@ -597,8 +593,7 @@ def _verify_lemmas(n: int, seed: int, qubits) -> list[str]:
         cols = [j for j, row in enumerate(bounds.LEMMA_ROWS) if row.on_y == on_y]
         ids = [bounds.LEMMA_ROWS[j].id for j in cols]
 
-        def case(k: int) -> str:
-            i, a, j = np.unravel_index(k, (n, len(orders), len(ids)))
+        def case(i: int, a: int, j: int) -> str:
             return f"seed={seed},index={i},q={orders[a]},id={ids[j]}"
 
         return _check(name, slack[..., cols], case, 1e-10)
@@ -628,8 +623,7 @@ def _verify_separability(n: int, seed: int, qubits) -> list[str]:
     # Separable (PPT) qubit channels must pass realignment and the criteria.
     rows = np.flatnonzero(ppt)
 
-    def criteria_case(k: int) -> str:
-        r, a, b = np.unravel_index(k, criteria[rows].shape)
+    def criteria_case(r: int, a: int, b: int) -> str:
         q, rid = orders[a], separability.CRITERIA[b].id
         suffix = "" if errors[rows[r], a, b] is None else "_error"
         return f"seed={seed},index={rows[r]},q={q},id={rid}{suffix}"
@@ -681,8 +675,7 @@ def _verify_zoo(n: int, seed: int, qubits) -> list[str]:
         )
     ]
 
-    rngs = zoo.rng_substreams(seed, range(20_000, 20_000 + n))
-    stack, _ = zoo.random_reshuffle_invariant_stack(rngs)
+    stack, _ = _sample_chunk("random_reshuffle_invariant", 2, seed, range(20_000, 20_000 + n), n)
     # one matrix at a time, so the norm adds up its entries as for one channel
     dev = np.array([np.linalg.norm(stack.choi[r] - stack.superop[r]) for r in range(n)])
     s_map, s_rec = (entropy.entropies(stack, kind, 2.0) for kind in ("map", "receiver"))
@@ -691,8 +684,8 @@ def _verify_zoo(n: int, seed: int, qubits) -> list[str]:
         _check(
             "zoo.reshuffle_invariant_family",
             1e-10 - np.column_stack([dev, ent_dev]),
-            lambda k: f"seed={seed},index={k // 2},"
-            + (f"dev={dev[k // 2]:.3e}" if k % 2 == 0 else f"entropy_dev={ent_dev[k // 2]:.3e}"),
+            lambda i, c: f"seed={seed},index={i},"
+            + (f"dev={dev[i]:.3e}" if c == 0 else f"entropy_dev={ent_dev[i]:.3e}"),
         )
     )
 
@@ -719,7 +712,7 @@ def _verify_zoo(n: int, seed: int, qubits) -> list[str]:
         _check(
             "zoo.depolarizing_curve_consistency",
             1e-10 - np.abs(exact - got),
-            lambda k: f"alpha={alphas[k // 2]:.2f},side={('map', 'rec')[k % 2]}",
+            lambda i, c: f"alpha={alphas[i]:.2f},side={('map', 'rec')[c]}",
         )
     )
 
@@ -792,8 +785,13 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: one error: line, exit 2
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qchan",
         description="Quantum channels on the entropy plane: analyze, scan, curve, verify.",
     )
@@ -840,8 +838,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -245,7 +245,7 @@ def _interval_stack(rho1: np.ndarray, rho2: np.ndarray, index=None) -> ChannelSt
     superops = np.zeros((len(rho1), 4, 4), dtype=complex)
     superops[:, :, 0] = rho1.reshape(-1, 4)
     superops[:, :, 3] = rho2.reshape(-1, 4)
-    return ChannelStack(superops, 2, index=index, interval=True)
+    return ChannelStack(superops, 2, index=index)
 
 
 def _pure_interval_stack(params: np.ndarray, index=None):

@@ -228,7 +228,7 @@ def test_stack_samplers_equal_their_per_channel_samplers(name):
         assert np.array_equal(stack.choi_eigenvalues[i], ch.choi_eigenvalues)
         assert np.array_equal(stack.singular_values[i], ch.singular_values)
         assert labels[i] == ch.label
-        assert ch.stack.interval == stack.interval == (name == "random_interval")
+        assert ch.interval == stack.interval[i] == (name == "random_interval")
 
     # A planted non-TP row is named by its index; depolarizing_stack takes
     # no index, so it names the position.
@@ -360,16 +360,15 @@ def test_interval_stack_rows_report_as_their_channels(q):
             assert repr(got) == repr(want)  # bit for bit
 
 
-def test_interval_stacks_are_checked():
+def test_the_interval_flag_is_computed_per_row():
     superops = np.array([zoo.interval_channel(0.3, 0.8, 0.5, 1.7).superop] * 3)
-    assert ChannelStack(superops, 2, interval=True).interval
-    assert not ChannelStack(superops, 2).interval
+    assert ChannelStack(superops, 2).interval.tolist() == [True] * 3
     superops[1, 2, 1] = 1e-300  # in the column of |0><1|
-    with pytest.raises(ValueError, match="interval"):
-        ChannelStack(superops, 2, interval=True)
+    stack = ChannelStack(superops, 2)
+    assert stack.interval.tolist() == [True, False, True]
+    assert [stack.channel(i).interval for i in range(3)] == [True, False, True]
     # N = 3 coarse graining has zero superoperator columns 1 and 2 as well
-    with pytest.raises(ValueError, match="interval"):
-        ChannelStack(zoo.coarse_graining(3).superop[None], 3, interval=True)
+    assert not zoo.coarse_graining(3).interval
 
     rng = zoo.rng_stream(81)
     pure = zoo.random_interval_stack(zoo.rng_substreams(81, range(50)))[0]
@@ -383,13 +382,17 @@ def test_interval_stacks_are_checked():
         zoo.interval_channel(1.0, 0.0).stack,
         zoo.interval_channel_general(corners[2], corners[0]).stack,
     ):
-        assert stack.interval and all(stack.channel(i).stack.interval for i in range(len(stack)))
+        assert stack.interval.all() and all(stack.channel(i).interval for i in range(len(stack)))
+
+
+def test_a_depolarizing_stack_flags_only_its_completely_depolarizing_qubit_row():
+    assert zoo.depolarizing_stack(2, [0.0, 0.5])[0].interval.tolist() == [True, False]
 
 
 @pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
 def test_scan_samples_an_interval_stack_exactly_when_its_header_has_interval_rows(ensemble):
     stack, _ = cli._sample_chunk(ensemble, 2, 5, range(4), 4)
-    assert stack.interval == (ensemble == "random_interval")
+    assert stack.interval.all() == (ensemble == "random_interval")
 
 
 def test_a_stack_takes_its_spectra_once_and_only_once_it_is_valid():

@@ -634,6 +634,24 @@ def test_evaluate_all_ids_match_declared_set():
     assert [r.id for r in report.records] == applicable_bound_ids(1.0, include_interval=True)
 
 
+def test_measure_and_prepare_maps_are_interval_maps_that_satisfy_both_interval_rows():
+    # Phi(rho) = rho_00 r1 + rho_11 r2 from Kraus operators sqrt(w) |v><k|:
+    # its superoperator columns 1 and 2 are exactly zero
+    rng = rng_stream(68)
+    for _ in range(50):
+        ops = []
+        for k in range(2):
+            w, v = np.linalg.eigh(random_density(2, rng))
+            ops += [np.sqrt(max(w[j], 0.0)) * np.outer(v[:, j], np.eye(2)[k]) for j in range(2)]
+        ch = from_kraus(ops)
+        assert ch.interval
+        for q in (1.0, 2.0, math.inf):
+            ids = [r.id for r in evaluate_all(ch, q).records]
+            assert ids == applicable_bound_ids(q, include_interval=True)
+            for rid in ("interval_map_lower", "interval_receiver_upper"):
+                assert record(ch, rid, q).satisfied, (rid, q)
+
+
 def test_evaluate_all_aggregates_and_serialization():
     report = evaluate_all(depolarizing(2, 0.25), 2.0)
     agg = report.aggregates

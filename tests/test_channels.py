@@ -51,6 +51,16 @@ def test_kraus_roundtrip_random_channels():
         assert np.linalg.norm(rebuilt.choi - ch.choi) < 1e-10
 
 
+def test_kraus_gives_each_caller_its_own_list():
+    ch = from_superoperator(np.diag([1.0, 0.5, 0.5, 1.0]).astype(complex))
+    first = [a.copy() for a in ch.kraus]
+    ch.kraus.clear()
+    ch.kraus[0][0, 0] = 7.0
+    again = ch.kraus
+    assert len(again) == len(first)
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
+
+
 def test_choi_to_kraus_weights_are_choi_eigenvalues():
     ch = random_cptp(3, 3, rng_substream(32, 0))
     ops = choi_to_kraus(ch.choi)

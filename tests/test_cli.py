@@ -127,6 +127,39 @@ def test_analyze_rejects_unknown_family_and_form(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_interval_map_gets_one_report_however_its_spec_is_written(tmp_path, capsys):
+    ch = zoo.interval_channel(0.3, 0.8, 0.4, 2.0)
+    params = {"alpha": 0.3, "beta": 0.8, "phi1": 0.4, "phi2": 2.0}
+    specs = [_family_spec(tmp_path, "interval", params)]
+    for form, m in (("superoperator", ch.superop), ("choi", ch.choi)):
+        rows = [[[x.real, x.imag] for x in row] for row in m.tolist()]
+        specs.append(_write_spec(tmp_path, f"{form}.json", {"form": form, "matrices": [rows]}))
+    reports = []
+    for spec in specs:
+        assert main(["analyze", "--spec", spec, "--q", "1,2,inf"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        reports.append([(b["q"], b["records"]) for b in doc["bounds"]])
+    assert [len(records) for _, records in reports[0]] == [15, 18, 18]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["scan", "--n", "abc", "--out", "x.csv"],
+        ["scan"],
+        ["scan", "--format", "xml", "--out", "x.csv"],
+        ["curve", "--name", "ab", "--grid", "x", "--out", "x.csv"],
+        ["no_such_command"],
+    ),
+    ids=("bad_int", "missing_required", "bad_choice", "bad_grid", "unknown_command"),
+)
+def test_a_usage_error_prints_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_unknown_family_error_lists_the_registry_in_order(tmp_path, capsys):
     assert main(["analyze", "--spec", _family_spec(tmp_path, "not_a_family")]) == 2
     names = (
@@ -794,21 +827,21 @@ def test_a_bound_that_raises_on_one_row_errors_there_only(capsys, monkeypatch):
 def test_a_check_column_keeps_the_nan_rule_and_formats_the_first_failure_only():
     formatted = []
 
-    def reproducer(k):
-        formatted.append(k)
-        return f"case {k}"
+    def reproducer(*index):
+        formatted.append(index)
+        return "case " + ",".join(map(str, index))
 
     line = cli._check("planted", np.array([[0.5, -1e-9], [-2.0, 0.25]]), reproducer, [0.0, 1e-8])
-    assert line == "FAIL planted checks=4 worst_slack=-2.000000e+00 reproducer=case 2"
-    assert formatted == [2]
+    assert line == "FAIL planted checks=4 worst_slack=-2.000000e+00 reproducer=case 1,0"
+    assert formatted == [(1, 0)]
     line = cli._check("planted", [0.1, math.nan, -3.0], reproducer)
     assert line == "FAIL planted checks=3 worst_slack=nan reproducer=case 1"
-    assert formatted == [2, 1]
+    assert formatted == [(1, 0), (1,)]
     line = cli._check("planted", [0.0], reproducer)
     assert line == "PASS planted checks=1 worst_slack=0.000000e+00"
     line = cli._check("planted", [-math.inf], reproducer)
     assert line == "FAIL planted checks=1 worst_slack=-inf reproducer=case 0"
-    assert formatted == [2, 1, 0]
+    assert formatted == [(1, 0), (1,), (0,)]
 
 
 def test_a_check_that_ran_no_instance_fails():

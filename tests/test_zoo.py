@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from qchan.bounds import evaluate_all
 from qchan.channels import ValidationError, from_environment
 from qchan.entropy import map_entropy, receiver_entropy
 from qchan.matcore import reshuffle
@@ -161,6 +162,15 @@ def test_interval_superop_columns_are_endpoint_states():
 def test_interval_degenerate_endpoints_is_coarse_graining():
     ch = interval_channel(1.0, 0.0)
     assert np.array_equal(ch.superop, coarse_graining(2).superop)
+
+
+@pytest.mark.parametrize("q", (1.0, 1.5, 2.0, math.inf))
+def test_coarse_graining_reports_as_the_interval_map_it_is(q):
+    # bit-identical superoperators, so the same records, interval rows included
+    pair = (coarse_graining(2), interval_channel(1.0, 0.0))
+    records = [evaluate_all(ch, q).records for ch in pair]
+    assert repr(records[0]) == repr(records[1])
+    assert {"interval_map_lower", "interval_receiver_upper"} <= {r.id for r in records[0]}
 
 
 def test_interval_map_entropy_is_ln2_for_pure_endpoints():
