@@ -12,6 +12,8 @@ the image of the maximally mixed state.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .matcore import (
@@ -80,6 +82,18 @@ class ChannelStack:
     each; both are descending, of shapes ``(B, N^2)`` and ``(B, N)``.  A
     :class:`Channel` is the ``B = 1`` case.
 
+    Each spectrum is taken at the cost of its structure.  The singular values
+    of a map whose Choi matrix passed the Hermiticity check come from a real
+    ``svd`` of its transfer matrix in a Hermitian basis (:func:`real_transfer`);
+    only a permissive map with a non-Hermitian Choi matrix takes the complex
+    ``svd``.  ``kraus_vectors`` holds ``(rows, X)`` pairs for maps built from
+    checked Stinespring isometries: ``X[j]`` is the ``N^2 x d`` matrix of Kraus
+    vectors of map ``rows[j]``, whose Choi matrix is ``X X^dag``.  When
+    ``d < N^2`` such a map takes its Choi eigenvalues from the ``d x d`` Gram
+    ``X^dag X``, which has the same nonzero eigenvalues, padded with exact
+    zeros; every other map takes the full ``eigvalsh``.  The Hermiticity, CP
+    and TP checks run on every map's Choi matrix either way.
+
     With ``require_cptp`` (the default) the first map that fails the CP or TP
     check raises :class:`ValidationError`; for ``B > 1`` the message names it
     as channel ``index[i]`` (by default its position ``i``).  Arrays are
@@ -106,14 +120,16 @@ class ChannelStack:
     )
     __slots__ = _VALIDATED + ("dim", "entropy_cache")
 
-    def __init__(self, superop, dim: int | None, *, require_cptp=True, index=None):
+    def __init__(
+        self, superop, dim: int | None, *, require_cptp=True, index=None, kraus_vectors=()
+    ):
         superop = as_complex_matrix(np.array(superop, dtype=complex), stack=True)
         n = _square_side(superop, dim)
         b = superop.shape[0]
         choi = reshuffle(superop, n)
         sym, hermitian, herm_dev, choi_scale = hermitian_part(choi)
         psd_tol = PSD_RTOL * choi_scale
-        eigenvalues = np.ascontiguousarray(np.linalg.eigvalsh(sym)[:, ::-1])
+        eigenvalues = _choi_eigenvalues(sym, kraus_vectors)
         cp = hermitian & (eigenvalues[:, -1] >= -psd_tol)
 
         mixed = np.eye(n, dtype=complex) / n
@@ -159,7 +175,7 @@ class ChannelStack:
         self.tp = tp
         self.unital = unital
         self.output_state = out
-        self.singular_values = np.linalg.svd(superop, compute_uv=False)
+        self.singular_values = _singular_values(superop, hermitian, n)
         # out is stored as (X + X^dag)/2, which is exactly Hermitian.
         self.output_eigenvalues = np.ascontiguousarray(np.linalg.eigvalsh(out)[:, ::-1])
         self._freeze()
@@ -209,6 +225,68 @@ class ChannelStack:
     def tau1(self) -> np.ndarray:
         """Largest eigenvalue of each ``Phi(1/N)``."""
         return self.output_eigenvalues[:, 0]
+
+
+def _choi_eigenvalues(sym: np.ndarray, kraus_vectors) -> np.ndarray:
+    """Descending eigenvalues of each Hermitian ``sym[i]``; the maps of a
+    ``(rows, X)`` pair with ``d < N^2`` Kraus vectors take them from ``X^dag X``
+    (see :class:`ChannelStack`)."""
+    size = sym.shape[-1]
+    ascending = np.zeros(sym.shape[:2])
+    full = np.ones(len(sym), dtype=bool)
+    for rows, x in kraus_vectors:
+        if x.shape[-1] < size:
+            gram = x.conj().swapaxes(-1, -2) @ x
+            ascending[rows, size - x.shape[-1] :] = np.linalg.eigvalsh(gram)
+            full[rows] = False
+    if full.any():
+        ascending[full] = np.linalg.eigvalsh(sym[full])
+    # a rank-deficient Gram can put roundoff below its padded zeros
+    return np.ascontiguousarray(np.sort(ascending, axis=-1)[:, ::-1])
+
+
+_SQRT_HALF = np.sqrt(0.5)
+
+
+@functools.cache
+def _hermitian_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major positions of the ``E_aa``, and of the ``E_ab`` and ``E_ba``
+    with ``a < b``, in an ``N x N`` matrix."""
+    a, b = np.triu_indices(n, 1)
+    return np.arange(n) * (n + 1), a * n + b, b * n + a
+
+
+def real_transfer(superop, dim: int) -> np.ndarray:
+    """``Re(U^dag S U)`` for each superoperator ``S`` of a ``(B, N^2, N^2)`` stack.
+
+    ``U`` has the orthonormal Hermitian basis ``E_aa``, ``(E_ab + E_ba)/sqrt 2``
+    and ``i (E_ab - E_ba)/sqrt 2`` (``a < b``) as its columns, in that order,
+    so ``U^dag S U`` has the singular values of ``S``.  It is real when the map
+    preserves Hermiticity (its Choi matrix is Hermitian), and its real part is
+    the transfer matrix of the map whose Choi matrix is ``(D + D^dag)/2``.
+    ``U`` is applied by index arithmetic: a gather, an add and a scale per
+    side, ``O(N^4)`` per map.
+    """
+    diag, upper, lower = _hermitian_basis(dim)
+    s = np.asarray(superop)
+    su, sl = s[..., upper], s[..., lower]
+    cols = [s[..., diag], (su + sl) * _SQRT_HALF, (su - sl) * (1j * _SQRT_HALF)]
+    cols = np.concatenate(cols, axis=-1)
+    cu, cl = cols[..., upper, :], cols[..., lower, :]
+    rows = [cols[..., diag, :].real, (cu.real + cl.real) * _SQRT_HALF]
+    rows.append((cu.imag - cl.imag) * _SQRT_HALF)
+    return np.concatenate(rows, axis=-2)
+
+
+def _singular_values(superop: np.ndarray, hermitian: np.ndarray, dim: int) -> np.ndarray:
+    """Descending singular values of each superoperator: a real ``svd`` of
+    :func:`real_transfer` where ``hermitian`` holds, the complex one elsewhere."""
+    if hermitian.all():
+        return np.linalg.svd(real_transfer(superop, dim), compute_uv=False)
+    values = np.empty(superop.shape[:2])
+    values[hermitian] = np.linalg.svd(real_transfer(superop[hermitian], dim), compute_uv=False)
+    values[~hermitian] = np.linalg.svd(superop[~hermitian], compute_uv=False)
+    return values
 
 
 def _stack_entry(name: str, cast=lambda value: value, doc: str | None = None) -> property:
@@ -327,7 +405,7 @@ def from_kraus(ops, *, label=None) -> Channel:
     """Build a channel from Kraus operators ``{A_i}`` through their stacked
     isometry; the superoperator is ``sum_i kron(A_i, conj(A_i))``."""
     v, n, k = _check_kraus(ops)
-    return Channel(_stinespring_superops(v[None], n, k)[0], n, label=label)
+    return _isometry_channel(v, n, k, label)
 
 
 def from_superoperator(m, dim=None, *, permissive=False, label=None) -> Channel:
@@ -398,8 +476,15 @@ def from_isometry(v, dim: int, env_dim: int, *, label=None) -> Channel:
     v = as_complex_matrix(v)
     if v.shape != (dim * env_dim, dim):
         raise ValueError(f"expected a {dim * env_dim}x{dim} isometry, got {v.shape}")
-    superop = isometry_superops(v[None], dim, env_dim)[0]
-    return Channel(superop, dim, label=label)
+    _check_isometry(v, "matrix")
+    return _isometry_channel(v, dim, env_dim, label)
+
+
+def _isometry_channel(v: np.ndarray, dim: int, env_dim: int, label) -> Channel:
+    """The channel of one checked Stinespring isometry ``V``, whose Choi
+    spectrum comes from its Kraus vectors (see :class:`ChannelStack`)."""
+    superop, x = _stinespring(v[None], dim, env_dim)
+    return ChannelStack(superop, dim, kraus_vectors=[([0], x)]).channel(label=label)
 
 
 def _check_isometry(v: np.ndarray, what: str, *, index=None) -> None:
@@ -433,13 +518,14 @@ def isometry_superops(v, dim: int, env_dim: int, *, index=None) -> np.ndarray:
     """
     v = np.asarray(v, dtype=complex)
     _check_isometry(v, "matrix", index=index)
-    return _stinespring_superops(v, dim, env_dim)
+    return _stinespring(v, dim, env_dim)[0]
 
 
-def _stinespring_superops(v: np.ndarray, dim: int, env_dim: int) -> np.ndarray:
-    """:func:`isometry_superops` without the isometry check."""
+def _stinespring(v: np.ndarray, dim: int, env_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`isometry_superops` without the isometry check, and the
+    ``(B, N^2, d)`` Kraus vectors ``X`` it forms them from."""
     x = v.reshape(len(v), dim, env_dim, dim).swapaxes(2, 3).reshape(len(v), -1, env_dim)
-    return reshuffle(x @ x.conj().swapaxes(1, 2), dim)
+    return reshuffle(x @ x.conj().swapaxes(1, 2), dim), x
 
 
 def remix_kraus(ops, v) -> list[np.ndarray]:

@@ -363,7 +363,7 @@ def _scan_chunk(ensemble: str, dim: int, seed: int, indices: range, n: int, q: f
     columns = [[label.replace(",", ";") for label in labels], list(indices), [q] * len(indices)]
     columns += [point[name] for name in SCAN_BASE_COLUMNS[3:-1]]
     parts = bounds.table_columns(stack, q, table)
-    criteria, _, _, regions = separability.verdict_columns(stack, q)
+    criteria, regions = separability.verdict_columns(stack, q)
     # Any failure ends the scan, never a nan cell or a region read off one.
     # The message names the first bad bound in table order (the bounds, then
     # the criteria), at its lowest row.
@@ -617,8 +617,9 @@ def _verify_separability(n: int, seed: int, qubits) -> list[str]:
     errors = np.empty(criteria.shape, dtype=object)
     for stack, idx in qubits():
         value[idx], margin[idx] = separability.realignment_stack(stack)
+        ppt[idx] = separability.ppt_stack(stack)[1]
         for a, q in enumerate(orders):
-            parts, _, ppt[idx], _ = separability.verdict_columns(stack, q)
+            parts = bounds.table_columns(stack, q, separability.CRITERIA)
             criteria[idx, a], errors[idx, a] = parts[2:]
     # Separable (PPT) qubit channels must pass realignment and the criteria.
     rows = np.flatnonzero(ppt)
@@ -790,6 +791,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qchan",

@@ -56,15 +56,16 @@ def partial_transpose(m, block=None) -> np.ndarray:
     return blocks.transpose(axes + (k, k + 3, k + 2, k + 1)).reshape(lead + (d, d))
 
 
-def ppt_stack(stack: ChannelStack) -> tuple[np.ndarray, np.ndarray]:
+def ppt_stack(stack: ChannelStack, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue of each partially transposed ``omega`` and
-    whether it is nonnegative up to ``PPT_RTOL`` times the spectral scale."""
-    if not stack.hermitian.all():
+    whether it is nonnegative up to ``PPT_RTOL`` times the spectral scale;
+    ``rows`` (an index array or slice) selects the maps to test."""
+    if not stack.hermitian[rows].all():
         raise ValueError("partial-transpose test needs a Hermitian Choi matrix")
     # Partial transposition permutes entries and commutes with the adjoint,
     # so |PT(D) - PT(D)^dag|_2 = |D - D^dag|_2 and the Hermiticity checked at
     # construction carries over; only the roundoff is symmetrized away.
-    pt = partial_transpose(stack.choi / stack.dim, block=stack.dim)
+    pt = partial_transpose(stack.choi[rows] / stack.dim, block=stack.dim)
     eigs = np.linalg.eigvalsh((pt + pt.swapaxes(-1, -2).conj()) / 2.0)
     min_eig = eigs[:, 0]
     scale = np.maximum(np.maximum(np.abs(eigs[:, -1]), np.abs(min_eig)), 1e-300)
@@ -128,30 +129,39 @@ class SeparabilityVerdict:
         return json_safe(asdict(self))
 
 
-def verdict_columns(stack: ChannelStack, q):
-    """``(criteria, min_eig, ppt, regions)`` of a stack at Rényi order ``q >= 1``:
-    the :func:`bounds.table_columns` of :data:`CRITERIA`, :func:`ppt_stack`,
-    and the region rule of the module docstring.
+def verdict_columns(stack: ChannelStack, q, ppt=None):
+    """``(criteria, regions)`` of a stack at Rényi order ``q >= 1``: the
+    :func:`bounds.table_columns` of :data:`CRITERIA` and the region rule of the
+    module docstring.
+
+    PPT decides the region only of a map that no criterion puts in region
+    A, so :func:`ppt_stack` runs on those maps alone, unless ``ppt``, its
+    flags for every map, is given.
     """
     renyi_order(q, minimum=1.0)
     criteria = table_columns(stack, q, CRITERIA)
     violated = (criteria[2] < -CHECK_TOL).any(axis=1)
-    min_eig, ppt = ppt_stack(stack)
+    if ppt is None:
+        ppt = np.zeros(len(stack), dtype=bool)
+        undecided = np.flatnonzero(~violated)
+        if undecided.size:
+            ppt[undecided] = ppt_stack(stack, undecided)[1]
     certified = "C" if stack.dim == 2 else "indeterminate"
-    regions = np.where(violated, "A", np.where(ppt, certified, "B"))
-    return criteria, min_eig, ppt, regions
+    return criteria, np.where(violated, "A", np.where(ppt, certified, "B"))
 
 
 def classify_regions(stack: ChannelStack, q) -> np.ndarray:
     """Entropy-plane region (see the module docstring) of every channel of
     a stack at Rényi order ``q``."""
-    return verdict_columns(stack, q)[3]
+    return verdict_columns(stack, q)[1]
 
 
 def classify_region(ch: Channel, q) -> SeparabilityVerdict:
     """Entropy-plane region of the channel at Rényi order ``q``; see
     :func:`classify_regions`."""
-    criteria, min_eig, ppt, regions = verdict_columns(ch.stack, q)
+    renyi_order(q, minimum=1.0)
+    min_eig, ppt = ppt_stack(ch.stack)
+    criteria, regions = verdict_columns(ch.stack, q, ppt)
     value, certified = realignment_test(ch)
     return SeparabilityVerdict(
         realignment_value=value,

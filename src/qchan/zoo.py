@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .channels import Channel, ChannelStack, check_state, isometry_superops
-from .channels import _check_isometry, _stinespring_superops
+from .channels import Channel, ChannelStack, check_state
+from .channels import _check_isometry, _stinespring
 from .entropy import check_probabilities
 from .matcore import PAULI, as_complex_matrix, kron
 
@@ -369,16 +369,21 @@ def random_cptp_stack(dim: int, env_dims, rngs, *, index=None):
 
     Returns ``(stack, labels)``.  Each environment dimension gets one
     batched QR and one batched isometry check, and the whole stack is
-    validated once.  Errors name channel ``index[i]`` (by default ``i``).
+    validated once; a map with ``env_dims[i] < dim^2`` takes its Choi
+    spectrum from its Kraus vectors (see :class:`ChannelStack`).  Errors
+    name channel ``index[i]`` (by default ``i``).
     """
     env_dims = [int(e) for e in env_dims]
     index = range(len(env_dims)) if index is None else index
     superops = np.empty((len(env_dims), dim * dim, dim * dim), dtype=complex)
+    groups = []
     for env in sorted(set(env_dims)):
         rows = [i for i, e in enumerate(env_dims) if e == env]
         v = haar_isometries(dim * env, dim, [rngs[i] for i in rows])
-        superops[rows] = isometry_superops(v, dim, env, index=[index[i] for i in rows])
-    stack = ChannelStack(superops, dim, index=index)
+        _check_isometry(v, "matrix", index=[index[i] for i in rows])
+        superops[rows], x = _stinespring(v, dim, env)
+        groups.append((rows, x))
+    stack = ChannelStack(superops, dim, index=index, kraus_vectors=groups)
     return stack, [f"random_cptp(N={dim},d={env})" for env in env_dims]
 
 
@@ -424,7 +429,7 @@ def _pauli_stack(p: np.ndarray, index=None):
     """Pauli channels with weights ``p[i]``, from the Kraus operators
     ``sqrt(p[i, t]) * PAULI[t]`` stacked into their isometry."""
     blocks = np.sqrt(np.maximum(p, 0.0))[:, None, :, None] * np.array(PAULI).swapaxes(0, 1)
-    superops = _stinespring_superops(blocks.reshape(len(p), 8, 2), 2, 4)
+    superops = _stinespring(blocks.reshape(len(p), 8, 2), 2, 4)[0]
     labels = ["pauli(" + ",".join(f"{w:g}" for w in row) + ")" for row in p]
     return ChannelStack(superops, 2, index=index), labels
 

@@ -330,7 +330,8 @@ def test_stack_rows_are_channels_that_share_its_spectra():
             row = stack.channel(i)
             row.sigma1, row.singular_values, row.output_eigenvalues  # noqa: B018
         assert linalg.mock_calls == []
-        fresh = Channel(stack.superop[i], 2, label=labels[i])
+        # the one-row build through the same constructor, so the same spectrum paths
+        fresh = random_cptp(2, (2, 4, 1)[i], rng_substream(77, i), label=labels[i])
         for name in ("superop", "choi", "choi_eigenvalues", "singular_values",
                      "output_eigenvalues"):
             assert np.array_equal(getattr(ch, name), getattr(fresh, name)), name
@@ -341,6 +342,24 @@ def test_stack_rows_are_channels_that_share_its_spectra():
     assert stack.channel().label is None
     with pytest.raises(IndexError):
         stack.channel(3)
+
+
+def test_a_row_rebuilt_from_its_superoperator_agrees_within_the_spectrum_tolerances():
+    # Channel(superop) takes the full eigvalsh of the Choi matrix, where the
+    # stack took the d x d Gram of the Kraus vectors; tolerances as in
+    # test_spectrum_paths (SV_ULPS = 128, CHOI_ULPS = 64)
+    envs = [2, 4, 1, 3]
+    stack, _ = random_cptp_stack(2, envs, [rng_substream(77, i) for i in range(4)])
+    eps = np.finfo(float).eps
+    for i, d in enumerate(envs):
+        row, fresh = stack.channel(i), Channel(stack.superop[i], 2)
+        assert np.array_equal(row.singular_values, fresh.singular_values)
+        dev = np.abs(row.choi_eigenvalues - fresh.choi_eigenvalues).max()
+        assert dev <= 64 * eps * fresh.d1
+        assert (row.choi_eigenvalues[d:] == 0.0).all()
+        p_row, p_fresh = entropy.entropy_point(row, 2.0), entropy.entropy_point(fresh, 2.0)
+        assert abs(p_row.s_map - p_fresh.s_map) <= 1e-14
+        assert p_row.s_rec == p_fresh.s_rec
 
 
 @pytest.mark.parametrize("q", (1.0, 1.5, 2.0, math.inf))

@@ -160,6 +160,38 @@ def test_a_usage_error_prints_one_error_line(argv, capsys):
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # main builds its parser once; each call must still read as with a fresh one
+    plot = tmp_path / "scan.gp"
+    commands = [
+        ["scan", "--n", "5", "--q", "2", "--out", "-", "--gnuplot", str(plot)],
+        ["verify", "--suite", "zoo", "--n", "3"],
+        ["curve", "--name", "ab", "--grid", "5", "--out", "-"],
+        ["scan", "--n", "abc", "--out", "-"],
+        ["scan", "--n", "4", "--dim", "3", "--out", "-"],
+        ["curve", "--grid", "5"],
+        ["verify", "--suite", "separability", "--n", "2", "--seed", "4", "--inject-invalid"],
+    ]
+
+    def run(argv):
+        plot.unlink(missing_ok=True)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err, plot.exists()
+
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [0, 0, 0, 2, 0, 2, 1]
+    assert [r[3] for r in fresh] == [True] + [False] * 6
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        for argv, expected in zip(commands, fresh):
+            assert run(argv) == expected, argv
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_unknown_family_error_lists_the_registry_in_order(tmp_path, capsys):
     assert main(["analyze", "--spec", _family_spec(tmp_path, "not_a_family")]) == 2
     names = (
