@@ -22,6 +22,7 @@ from .matcore import (
     _square_side,
     as_complex_matrix,
     first_failure,
+    hermitian_check,
     hermitian_part,
     reshuffle,
 )
@@ -127,9 +128,9 @@ class ChannelStack:
         n = _square_side(superop, dim)
         b = superop.shape[0]
         choi = reshuffle(superop, n)
-        sym, hermitian, herm_dev, choi_scale = hermitian_part(choi)
+        hermitian, herm_dev, choi_scale = hermitian_check(choi)
         psd_tol = PSD_RTOL * choi_scale
-        eigenvalues = _choi_eigenvalues(sym, kraus_vectors)
+        eigenvalues = _choi_eigenvalues(choi, kraus_vectors)
         cp = hermitian & (eigenvalues[:, -1] >= -psd_tol)
 
         mixed = np.eye(n, dtype=complex) / n
@@ -227,20 +228,22 @@ class ChannelStack:
         return self.output_eigenvalues[:, 0]
 
 
-def _choi_eigenvalues(sym: np.ndarray, kraus_vectors) -> np.ndarray:
-    """Descending eigenvalues of each Hermitian ``sym[i]``; the maps of a
-    ``(rows, X)`` pair with ``d < N^2`` Kraus vectors take them from ``X^dag X``
-    (see :class:`ChannelStack`)."""
-    size = sym.shape[-1]
-    ascending = np.zeros(sym.shape[:2])
-    full = np.ones(len(sym), dtype=bool)
+def _choi_eigenvalues(choi: np.ndarray, kraus_vectors) -> np.ndarray:
+    """Descending eigenvalues of each ``(D + D^dag)/2``, ``D = choi[i]``; the
+    maps of a ``(rows, X)`` pair with ``d < N^2`` Kraus vectors take them from
+    ``X^dag X`` (see :class:`ChannelStack`), so only the other maps'
+    Hermitian parts are formed."""
+    size = choi.shape[-1]
+    ascending = np.zeros(choi.shape[:2])
+    full = np.ones(len(choi), dtype=bool)
     for rows, x in kraus_vectors:
         if x.shape[-1] < size:
             gram = x.conj().swapaxes(-1, -2) @ x
             ascending[rows, size - x.shape[-1] :] = np.linalg.eigvalsh(gram)
             full[rows] = False
     if full.any():
-        ascending[full] = np.linalg.eigvalsh(sym[full])
+        d = choi[full]
+        ascending[full] = np.linalg.eigvalsh((d + d.swapaxes(-1, -2).conj()) / 2.0)
     # a rank-deficient Gram can put roundoff below its padded zeros
     return np.ascontiguousarray(np.sort(ascending, axis=-1)[:, ::-1])
 

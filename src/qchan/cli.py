@@ -15,11 +15,19 @@ whose size follows from ``SCAN_CHUNK_BYTES`` (256 KiB: 4 rows at N = 8,
 kernel treats each channel on its own, so the bytes depend only on the
 arguments, never on the chunk size.  Exit codes: 0 success, 1 property
 violation, 2 input error.
+
+Every matrix the CLI handles is at most 64 x 64 (N <= 8), where handing a
+LAPACK call to a second OpenBLAS thread costs more than the call: under load
+the first threaded call of a scan waited 20-31 ms for a core, against about
+25 ms for the whole N = 8 scan.  So :func:`main` runs each call on one BLAS
+thread and restores the caller's count afterwards (:func:`_one_blas_thread`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
 import json
 import math
@@ -314,6 +322,7 @@ def cmd_analyze(args) -> int:
     }
     if ch.dim == 2 and ch.unital:
         report["bloch_ellipsoid"] = list(entropy.bloch_ellipsoid(ch))
+    ppt = None  # the PPT spectrum does not depend on q: taken once
     for q in q_list:
         ep = entropy.entropy_point(ch, q)
         report["entropies"].append(
@@ -321,7 +330,9 @@ def cmd_analyze(args) -> int:
         )
         if q >= 1.0:
             report["bounds"].append(bounds.evaluate_all(ch, q).to_dict())
-            verdict = separability.classify_region(ch, q).to_dict()
+            if ppt is None:
+                ppt = separability.ppt_stack(ch.stack)
+            verdict = separability.classify_region(ch, q, ppt).to_dict()
             report["separability"].append({**verdict, "q": q})
     text = json.dumps(json_safe(report), indent=2, sort_keys=True) + "\n"
     _write_text(args.out, text)
@@ -839,13 +850,69 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+# (get, set) symbol names of the thread count, for each OpenBLAS build name.
+_OPENBLAS_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix, suffix in (
+        ("scipy_openblas", "64_"),
+        ("scipy_openblas", ""),
+        ("openblas", "64_"),
+        ("openblas", ""),
+    )
+)
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """``(get, set)`` thread-count functions of every OpenBLAS this process
+    has loaded, found by its shared-library name in ``/proc/self/maps``;
+    empty where there is none or no such file."""
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
-    except (ValidationError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore each library's
+    count; without a loaded OpenBLAS, change nothing.  The count is
+    process-wide, so calls of :func:`main` in several threads of one process
+    share it."""
+    libs = _openblas()
+    saved = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(libs, saved):
+            set_(count)
+
+
+def main(argv=None) -> int:
+    with _one_blas_thread():
+        try:
+            args = _build_parser().parse_args(argv)
+            return args.func(args)
+        except (ValidationError, ValueError, KeyError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

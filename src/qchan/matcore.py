@@ -129,20 +129,27 @@ def singular_values(m) -> np.ndarray:
         ) from exc
 
 
+def hermitian_check(h):
+    """Hermiticity of a stack of square matrices (the last two axes).
+
+    Returns ``(ok, dev, scale)``: whether ``|h - h^dag|_2 <= HERM_TOL * |h|_2``
+    holds, and those two Frobenius norms, each with one entry per matrix.
+    What a failed check means is left to the caller.
+    """
+    h = np.asarray(h)
+    dev = np.linalg.norm(h - h.swapaxes(-1, -2).conj(), axis=(-2, -1))
+    scale = np.linalg.norm(h, axis=(-2, -1))
+    return dev <= HERM_TOL * np.maximum(scale, 1e-300), dev, scale
+
+
 def hermitian_part(h):
     """Check and symmetrize a stack of square matrices (the last two axes).
 
-    Returns ``(sym, ok, dev, scale)``: the Hermitian parts ``(h + h^dag)/2``,
-    whether ``|h - h^dag|_2 <= HERM_TOL * |h|_2`` holds, and those two
-    Frobenius norms, each with one entry per matrix.  What a failed check
-    means is left to the caller.
+    Returns ``(sym, ok, dev, scale)``: the Hermitian parts ``(h + h^dag)/2``
+    and the :func:`hermitian_check` of ``h``.
     """
     h = np.asarray(h)
-    adj = h.swapaxes(-1, -2).conj()
-    dev = np.linalg.norm(h - adj, axis=(-2, -1))
-    scale = np.linalg.norm(h, axis=(-2, -1))
-    ok = dev <= HERM_TOL * np.maximum(scale, 1e-300)
-    return (h + adj) / 2.0, ok, dev, scale
+    return (h + h.swapaxes(-1, -2).conj()) / 2.0, *hermitian_check(h)
 
 
 def first_failure(ok) -> int | None:

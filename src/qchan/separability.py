@@ -35,6 +35,13 @@ from .matcore import _square_side, renyi_order
 PPT_RTOL = 1e-9
 REALIGNMENT_TOL = 1e-9
 
+# Smallest N at which the lazy PPT path first tries the Cholesky certificate
+# of :func:`npt_certified`.  Per undecided random_cptp row (2-core x86, one
+# BLAS thread) the Cholesky loop against the batched eigvalsh took 7.9 against
+# 8.1 us at N = 3, 9.6 against 28 us at N = 4 and 62 against 350 us at N = 8;
+# at N = 2 the 4 x 4 eigvalsh is cheaper than the loop.
+CHOLESKY_MIN_DIM = 4
+
 # Table rows of the entropic separability criteria, in report order.
 CRITERIA = tuple(b for b in TABLE if b.separable)
 
@@ -56,20 +63,67 @@ def partial_transpose(m, block=None) -> np.ndarray:
     return blocks.transpose(axes + (k, k + 3, k + 2, k + 1)).reshape(lead + (d, d))
 
 
-def ppt_stack(stack: ChannelStack, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenvalue of each partially transposed ``omega`` and
-    whether it is nonnegative up to ``PPT_RTOL`` times the spectral scale;
-    ``rows`` (an index array or slice) selects the maps to test."""
+def _omega_pt(stack: ChannelStack, rows) -> np.ndarray:
+    """Hermitian part of each partially transposed ``omega`` of ``rows``."""
     if not stack.hermitian[rows].all():
         raise ValueError("partial-transpose test needs a Hermitian Choi matrix")
     # Partial transposition permutes entries and commutes with the adjoint,
     # so |PT(D) - PT(D)^dag|_2 = |D - D^dag|_2 and the Hermiticity checked at
     # construction carries over; only the roundoff is symmetrized away.
     pt = partial_transpose(stack.choi[rows] / stack.dim, block=stack.dim)
-    eigs = np.linalg.eigvalsh((pt + pt.swapaxes(-1, -2).conj()) / 2.0)
+    return (pt + pt.swapaxes(-1, -2).conj()) / 2.0
+
+
+def _ppt_spectrum(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ppt_stack's rule on the output of _omega_pt
+    eigs = np.linalg.eigvalsh(pt)
     min_eig = eigs[:, 0]
     scale = np.maximum(np.maximum(np.abs(eigs[:, -1]), np.abs(min_eig)), 1e-300)
     return min_eig, min_eig >= -PPT_RTOL * scale
+
+
+def ppt_stack(stack: ChannelStack, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of each partially transposed ``omega`` and
+    whether it is nonnegative up to ``PPT_RTOL`` times the spectral scale;
+    ``rows`` (an index array or slice) selects the maps to test."""
+    return _ppt_spectrum(_omega_pt(stack, rows))
+
+
+def npt_certified(pt: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian ``pt[i]`` is certainly not PPT by the rule of
+    :func:`ppt_stack`, from one Cholesky factorization per matrix.
+
+    ``pt + c 1`` with ``c = 2 PPT_RTOL |pt|_F`` is factored.  If the smallest
+    eigenvalue passes the rule, ``lambda_min >= -PPT_RTOL |pt|_2`` with
+    ``|pt|_2 <= |pt|_F``, so the shifted matrix has every eigenvalue at least
+    ``PPT_RTOL |pt|_F``, some 10^5 times the factorization's roundoff of about
+    ``n eps |pt|_2``, and the factorization succeeds.  A failure therefore
+    certifies ``lambda_min < -PPT_RTOL |pt|_2``.  A success decides nothing:
+    such a matrix needs its spectrum.
+    """
+    shift = 2.0 * PPT_RTOL * np.maximum(np.linalg.norm(pt, axis=(-2, -1)), 1e-300)
+    shifted = pt + shift[:, None, None] * np.eye(pt.shape[-1])
+    npt = np.zeros(len(pt), dtype=bool)
+    for i, m in enumerate(shifted):  # a stacked cholesky fails as a whole
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            npt[i] = True
+    return npt
+
+
+def _lazy_ppt(stack: ChannelStack, rows: np.ndarray) -> np.ndarray:
+    """PPT flags of ``rows``, as :func:`ppt_stack` gives them; from
+    ``CHOLESKY_MIN_DIM`` on, rows that :func:`npt_certified` settles skip the
+    eigenvalues."""
+    pt = _omega_pt(stack, rows)
+    if stack.dim < CHOLESKY_MIN_DIM:
+        return _ppt_spectrum(pt)[1]
+    ppt = np.zeros(len(rows), dtype=bool)
+    open_rows = ~npt_certified(pt)
+    if open_rows.any():
+        ppt[open_rows] = _ppt_spectrum(pt[open_rows])[1]
+    return ppt
 
 
 def ppt_test(ch: Channel) -> tuple[float, bool]:
@@ -135,8 +189,11 @@ def verdict_columns(stack: ChannelStack, q, ppt=None):
     module docstring.
 
     PPT decides the region only of a map that no criterion puts in region
-    A, so :func:`ppt_stack` runs on those maps alone, unless ``ppt``, its
-    flags for every map, is given.
+    A, so the partial transpose is taken of those maps alone, unless
+    ``ppt``, the :func:`ppt_stack` flags of every map, is given.  From
+    ``N = CHOLESKY_MIN_DIM`` on, a map that :func:`npt_certified` settles
+    takes no eigenvalues; the flags, and so the regions, are those of
+    :func:`ppt_stack` either way.
     """
     renyi_order(q, minimum=1.0)
     criteria = table_columns(stack, q, CRITERIA)
@@ -145,7 +202,7 @@ def verdict_columns(stack: ChannelStack, q, ppt=None):
         ppt = np.zeros(len(stack), dtype=bool)
         undecided = np.flatnonzero(~violated)
         if undecided.size:
-            ppt[undecided] = ppt_stack(stack, undecided)[1]
+            ppt[undecided] = _lazy_ppt(stack, undecided)
     certified = "C" if stack.dim == 2 else "indeterminate"
     return criteria, np.where(violated, "A", np.where(ppt, certified, "B"))
 
@@ -156,11 +213,12 @@ def classify_regions(stack: ChannelStack, q) -> np.ndarray:
     return verdict_columns(stack, q)[1]
 
 
-def classify_region(ch: Channel, q) -> SeparabilityVerdict:
+def classify_region(ch: Channel, q, ppt=None) -> SeparabilityVerdict:
     """Entropy-plane region of the channel at Rényi order ``q``; see
-    :func:`classify_regions`."""
+    :func:`classify_regions`.  ``ppt``, the channel's :func:`ppt_stack`
+    pair, saves taking it again when several orders are classified."""
     renyi_order(q, minimum=1.0)
-    min_eig, ppt = ppt_stack(ch.stack)
+    min_eig, ppt = ppt_stack(ch.stack) if ppt is None else ppt
     criteria, regions = verdict_columns(ch.stack, q, ppt)
     value, certified = realignment_test(ch)
     return SeparabilityVerdict(

@@ -8,6 +8,7 @@ spectrum only of rows that no criterion decides.  These tests hold each path
 to the general one it replaces.
 """
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from qchan.channels import (
     from_superoperator,
     real_transfer,
 )
+from qchan.matcore import reshuffle
 
 EPS = np.finfo(float).eps
 # |sigma_real - sigma_complex| <= SV_ULPS * eps * sigma_1.  The worst measured
@@ -188,24 +190,98 @@ def test_a_non_cp_spec_still_raises_the_cp_error(form):
 SCAN_CASES = [(e, 2) for e in cli.ENSEMBLES] + [
     (e, n)
     for e in ("random_cptp", "random_bistochastic", "depolarizing")
-    for n in (3, 8)
+    for n in (3, 4, 8)
 ]
 
 
 @pytest.mark.parametrize("ensemble,n", SCAN_CASES)
 def test_lazy_ppt_regions_equal_full_ppt_regions(ensemble, n):
     rows = 24 if n < 8 else 8
-    stack, _ = cli._sample_chunk(ensemble, n, 5, range(rows), rows)
-    _, full_ppt = separability.ppt_stack(stack)
-    for q in (1.0, 2.0, np.inf):
-        with mock.patch.object(separability, "ppt_stack", wraps=separability.ppt_stack) as ppt:
-            criteria, regions = separability.verdict_columns(stack, q)
-        _, full_regions = separability.verdict_columns(stack, q, full_ppt)
-        assert regions.tolist() == full_regions.tolist()
-        # only the rows that no criterion put in A were tested
-        undecided = np.flatnonzero(regions != "A")
-        tested = [call.args[1].tolist() for call in ppt.call_args_list]
-        assert tested == ([undecided.tolist()] if undecided.size else [])
+    for seed in (5, 6, 7):
+        stack, _ = cli._sample_chunk(ensemble, n, seed, range(rows), rows)
+        _, full_ppt = separability.ppt_stack(stack)
+        everything = np.arange(rows)
+        assert separability._lazy_ppt(stack, everything).tolist() == full_ppt.tolist()
+        for q in (1.0, 2.0, np.inf):
+            with mock.patch.object(
+                separability, "_omega_pt", wraps=separability._omega_pt
+            ) as pt:
+                criteria, regions = separability.verdict_columns(stack, q)
+            _, full_regions = separability.verdict_columns(stack, q, full_ppt)
+            assert regions.tolist() == full_regions.tolist()
+            # only the rows that no criterion put in A were transposed, once
+            undecided = np.flatnonzero(regions != "A")
+            tested = [call.args[1].tolist() for call in pt.call_args_list]
+            assert tested == ([undecided.tolist()] if undecided.size else [])
+
+
+@pytest.mark.parametrize("ensemble,n", SCAN_CASES)
+def test_the_cholesky_certificate_flags_only_npt_rows(ensemble, n):
+    rows = 24 if n < 8 else 8
+    flagged = npt = 0
+    for seed in (5, 6, 7):
+        stack, _ = cli._sample_chunk(ensemble, n, seed, range(rows), rows)
+        _, full_ppt = separability.ppt_stack(stack)
+        certified = separability.npt_certified(separability._omega_pt(stack, slice(None)))
+        assert not (certified & full_ppt).any()
+        flagged, npt = flagged + certified.sum(), npt + (~full_ppt).sum()
+    # the certificate is not vacuous: no sampled NPT row is near the threshold
+    assert flagged == npt
+    if ensemble in ("depolarizing", "random_interval"):
+        assert npt < 3 * rows  # PPT rows were tested too
+
+
+def _hermitian(n: int, eigenvalues, seed: int) -> np.ndarray:
+    """The Hermitian ``n^2 x n^2`` matrix ``U diag(eigenvalues) U^dag``, ``U``
+    a Haar unitary."""
+    u = zoo.haar_unitary(n * n, np.random.default_rng(seed))
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
+
+
+def _pt_stack(pt: np.ndarray) -> ChannelStack:
+    """A permissive one-map stack whose partially transposed ``omega`` is ``pt``."""
+    n = int(round(np.sqrt(len(pt))))
+    choi = separability.partial_transpose(pt, n) * n
+    return ChannelStack(reshuffle(choi, n)[None], n, require_cptp=False)
+
+
+# (n, spread): spread=True spreads the spectrum over [-1, 1], so |pt|_F is
+# several times |pt|_2; spread=False leaves one eigenvalue 1 and the rest
+# tiny, so |pt|_F is about |pt|_2 and the shift covers the least margin.
+SPECTRA = [(n, spread) for n in (4, 8) for spread in (True, False)]
+
+
+def _spectrum(n: int, spread: bool, low: float) -> np.ndarray:
+    size = n * n
+    rest = np.linspace(1.0, 0.1, size - 1) if spread else np.full(size - 1, 1e-3)
+    rest[0] = 1.0
+    return np.append(rest, low)
+
+
+@pytest.mark.parametrize("n,spread", SPECTRA)
+def test_the_certificate_never_fires_inside_the_ppt_tolerance(n, spread):
+    for factor in (0.0, -0.5, -0.99):
+        pt = _hermitian(n, _spectrum(n, spread, factor * separability.PPT_RTOL), 3)
+        assert not separability.npt_certified(pt[None])[0]
+        stack = _pt_stack(pt)
+        assert separability._lazy_ppt(stack, np.arange(1)).tolist() == [True]
+
+
+@pytest.mark.parametrize("n,spread", SPECTRA)
+def test_just_outside_the_ppt_tolerance_the_row_reads_npt(n, spread):
+    pt = _hermitian(n, _spectrum(n, spread, -1.5 * separability.PPT_RTOL), 4)
+    stack = _pt_stack(pt)
+    # the certificate may leave this row to the spectrum, which reads NPT
+    with mock.patch.object(
+        separability, "_ppt_spectrum", wraps=separability._ppt_spectrum
+    ) as spectrum:
+        flags = separability._lazy_ppt(stack, np.arange(1))
+    assert flags.tolist() == [False]
+    certified = separability.npt_certified(separability._omega_pt(stack, slice(None)))[0]
+    assert certified or spectrum.call_count == 1
+    # far outside it the certificate settles the row alone
+    pt = _hermitian(n, _spectrum(n, spread, -1e-3), 4)
+    assert separability.npt_certified(pt[None]).tolist() == [True]
 
 
 def test_a_scan_takes_each_undecided_rows_partial_transpose_once(tmp_path):
@@ -229,6 +305,30 @@ def test_verify_takes_each_qubit_stacks_partial_transpose_once(capsys):
     # one call per sampler group on all its rows, then one per region example
     assert [len(s) for s in stacks] == [6, 3, 3, 1, 1, 1, 1]
     assert all(len(call.args) == 1 for call in ppt.call_args_list)
+
+
+@pytest.mark.parametrize("name,dim", [("random_cptp", 2), ("random_bistochastic", 3)])
+def test_analyze_takes_the_partial_transpose_once_per_spec(tmp_path, capsys, name, dim):
+    spec = tmp_path / "spec.json"
+    doc = {"dim": dim, "form": "family", "family": {"name": name, "params": {"seed": 3}}}
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["analyze", "--spec", str(spec), "--q", "0.5,1,1.5,2,inf"]
+    with mock.patch.object(
+        separability, "partial_transpose", wraps=separability.partial_transpose
+    ) as pt:
+        assert cli.main(argv) == 0
+    once = capsys.readouterr().out
+    assert pt.call_count == 1
+    # the report is the one of a partial transpose taken afresh at every order
+    real = separability.classify_region
+    with mock.patch.object(
+        separability, "classify_region", lambda ch, q, ppt=None: real(ch, q)
+    ), mock.patch.object(
+        separability, "partial_transpose", wraps=separability.partial_transpose
+    ) as pt:
+        assert cli.main(argv) == 0
+    assert pt.call_count == 1 + 4  # the one analyze takes, then one per order >= 1
+    assert capsys.readouterr().out == once
 
 
 def test_verify_ppt_implies_criteria_fails_when_npt_rows_pass_as_ppt(capsys, monkeypatch):
